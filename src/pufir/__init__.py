@@ -3,19 +3,18 @@ para-unitary FIR systems represented as matrix Laurent polynomials."""
 
 from .laurent import LaurentPoly, constant, delay, zero
 from .hankel import (BlockHankel, DefectReport, HankelPair,
-                     ParaunitaryResult, defect_structure, flat_B, flip_T,
+                     ParaunitaryResult, defect_structure, flat_B,
                      hankel_anticausal, hankel_causal, hankel_pair,
-                     hankel_singular_values, is_paraunitary_hankel,
-                     mcmillan_degree, numerical_rank, shift_J, stack_B,
-                     toeplitz_gram_equiv)
+                     is_paraunitary_hankel, mcmillan_degree, numerical_rank,
+                     stack_B, toeplitz_gram_equiv)
 from .realization import (GramianPair, Realization,
                           check_unitary_realization, gramian_normalize,
                           gramians, minimal_realization, naive_realization,
                           transfer)
 from .blaschke import (AngleParams, BPFactor, BPProduct, chart_size,
-                       decode_angles, design_optimize, expand_coefficients,
-                       factor_eval, factor_inverse, param_count,
-                       random_member, random_params, synth, synth_all_forms)
+                       decode_angles, design_optimize, factor_eval,
+                       factor_inverse, param_count, random_member,
+                       random_params, synth, synth_all_forms)
 from .families import (compose_diag, compose_mix_cols, compose_mix_rows,
                        dilate, exponent_map, hankel_abr, interleave_coeffs,
                        product_via_hankel, reblock, rect_stack, rect_widen,

@@ -17,7 +17,7 @@ from .laurent import LaurentPoly
 __all__ = [
     "BPFactor", "BPProduct", "AngleParams",
     "factor_eval", "factor_inverse",
-    "synth", "synth_all_forms", "expand_coefficients",
+    "synth", "synth_all_forms",
     "param_count", "chart_size", "decode_angles",
     "random_params", "random_member", "design_optimize",
 ]
@@ -158,38 +158,38 @@ class BPProduct:
                 for j, v in enumerate(self.vs)]
 
 
-def _anti_poly(v):
-    # I + (z-1)vv* = z*P + (I-P)
-    P = np.outer(v, v.conj())
-    return LaurentPoly(2, [P, np.eye(v.size) - P])
-
-
-def _causal_poly(v):
-    # I + (1/z-1)vv* = (I-P) + P/z
-    P = np.outer(v, v.conj())
-    return LaurentPoly(1, [np.eye(v.size) - P, P])
-
-
-def _ordered_polys(prod):
-    anti = [_anti_poly(v) for v in prod.vs[:prod.gamma]]
-    causal = [_causal_poly(v) for v in prod.vs[prod.gamma:]]
-    const = LaurentPoly(1, [prod.U])
-    if prod.side == "iso":
-        return anti + causal + [const]
-    return [const] + causal + anti
-
-
 def synth(prod):
     """Expand the product into a matrix Laurent polynomial.
+
+    One coefficient recursion for every gamma.  The square core
+    z^gamma sum_c z^-c G_c starts from G_0 = I.  A causal factor
+    I + (1/z - 1)P = Q + P/z, with P = vv* and Q = I - P, maps G_c to
+    G_c Q + G_{c-1} P; an anti-causal factor I + (z - 1)P = z(P + Q/z) is
+    the same update with P and Q swapped, its z carried by the shift
+    q = 1 + gamma.  Both are rank-one updates through w_c = G_c v.  Iso
+    products apply the anti-causal factors first and U on the right,
+    co-iso products apply them last and U on the left.
 
     Result is causal for gamma=0, anti-causal for gamma=d, and always
     para-unitary on the circle.
     """
-    polys = _ordered_polys(prod)
-    out = polys[0]
-    for poly in polys[1:]:
-        out = out.multiply(poly)
-    return out
+    g, k = prod.gamma, prod.k
+    anti = [(v, True) for v in prod.vs[:g]]
+    causal = [(v, False) for v in prod.vs[g:]]
+    G = np.zeros((prod.d + 1, k, k), dtype=complex)
+    G[0] = np.eye(k)
+    for v, is_anti in (anti + causal if prod.side == "iso"
+                       else causal + anti):
+        w = np.diff(G @ v, axis=0, prepend=0)      # G_c v - G_{c-1} v
+        step = w[:, :, None] * v.conj()
+        if is_anti:
+            G[1:] = G[:-1]
+            G[0] = 0
+            G += step
+        else:
+            G -= step
+    coeffs = G @ prod.U if prod.side == "iso" else prod.U @ G
+    return LaurentPoly(g + 1, coeffs)
 
 
 def synth_all_forms(prod):
@@ -244,31 +244,6 @@ def synth_all_forms(prod):
     return wrap(core1), wrap(core2), wrap(core3)
 
 
-def expand_coefficients(prod):
-    """Coefficients B_1 ... B_{d+1} of a causal (gamma=0) product.
-
-    Recursion over the factors: the square core sum_{c} z^{-c} G_c picks up
-    Q_j = I - v_j v_j* on the constant path and the projection on the
-    delayed path, so B_1 is the product of the Q_j and B_{d+1} the product
-    of the projections.  The constant (co)isometry is applied last.
-    """
-    if prod.gamma != 0:
-        raise ValueError("coefficient expansion requires gamma = 0")
-    k = prod.k
-    state = [np.eye(k, dtype=complex)]
-    for v in prod.vs:
-        P = np.outer(v, v.conj())
-        Q = np.eye(k) - P
-        nxt = [state[0] @ Q]
-        nxt += [state[c] @ Q + state[c - 1] @ P
-                for c in range(1, len(state))]
-        nxt.append(state[-1] @ P)
-        state = nxt
-    if prod.side == "iso":
-        return [G @ prod.U for G in state]
-    return [prod.U @ G for G in state]
-
-
 def param_count(side, p, m, d):
     """Real dimension of the degree-d para-unitary polytope.
 
@@ -313,6 +288,8 @@ class AngleParams:
         want = chart_size(self.side, self.p, self.m, self.d)
         if ang.size != want:
             raise ValueError(f"expected {want} angles, got {ang.size}")
+        if not np.isfinite(ang).all():
+            raise ValueError("angles must be finite (no NaN or Inf)")
         if not 0 <= self.gamma <= self.d:
             raise ValueError("gamma must lie in [0, d]")
 

@@ -16,15 +16,13 @@ import numpy as np
 
 from . import families
 from .blaschke import decode_angles, design_optimize, random_member, synth
-from .hankel import (defect_structure, hankel_pair, is_paraunitary_hankel,
-                     mcmillan_degree)
+from .hankel import (DEFAULT_TOL, defect_structure, hankel_pair,
+                     is_paraunitary_hankel, mcmillan_degree)
 from .io import (angles_to_dict, dumps_poly, load_angles, load_poly,
                  poly_to_dict, save_poly)
 from .realization import (check_unitary_realization, gramian_normalize,
                           gramians, minimal_realization)
 from .verify import verify_examples
-
-DEFAULT_TOL = 1e-9
 
 
 def _tol(args):

@@ -2,7 +2,7 @@
 
 Coefficient reversal, Hankel reblocking, power dilation, sparse exponent
 placement, rectangular stacking/widening, block compositions and the
-Hankel-level product formula.  Each construction is a pure transformation
+product of q = 0 normalizations.  Each construction is a pure transformation
 of LaurentPoly values; para-unitarity preservation is checked in tests,
 not assumed here.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .laurent import LaurentPoly
-from .hankel import BlockHankel, flip_T, hankel_causal
+from .hankel import BlockHankel, hankel_causal
 
 __all__ = [
     "reverse_poly", "reblock", "dilate", "exponent_map",
@@ -231,38 +231,19 @@ def compose_mix_cols(Fb, Fc, alpha):
     return LaurentPoly(0, out)
 
 
-def product_via_hankel(Fb, Fc, check_tol=1e-12):
-    """Polynomial product computed through the stacked Hankel identity.
+def product_via_hankel(Fb, Fc):
+    """Polynomial product of the q = 0 normalizations of both inputs.
 
-    The coefficient stack of the product is the extended Hankel of the
-    left factor times the block flip times the coefficient stack of the
-    right factor.  A second, Hankel-on-Hankel form of the same identity
-    is cross-checked; failure indicates an internal indexing bug.  Inputs
-    are normalized to q = 0; the result carries q = -1 as in the product
-    of two q = 0 polynomials.
+    The paper's stacked Hankel identity, coefficient stack of the product
+    = extended Hankel of the left factor times the block flip times the
+    coefficient stack of the right factor, gives the same coefficients;
+    it is checked in the tests, not recomputed here.  The result carries
+    q = -1 as in the product of two q = 0 polynomials.
     """
     if Fb.m != Fc.p:
         raise ValueError("inner dimension mismatch: "
                          f"{Fb.p}x{Fb.m} times {Fc.p}x{Fc.m}")
-    Fb = Fb.shift(-Fb.q)
-    Fc = Fc.shift(-Fc.q)
-    n, l, rho = Fb.n, Fc.n, Fb.m
-    Hl = hankel_causal(Fb, l).data
-    T = flip_T(n + l, rho)
-    # right-factor stack padded with n leading zero blocks
-    Cstack = np.vstack([np.zeros((n * rho, Fc.m), dtype=complex)]
-                       + [np.asarray(C) for C in Fc.coeffs])
-    Dstack = Hl @ T @ Cstack
-    p = Fb.p
-    out = [Dstack[(t + 1) * p:(t + 2) * p, :] for t in range(n + l - 1)]
-    if np.max(np.abs(Dstack[:p, :])) > check_tol:
-        raise RuntimeError("product stack has a nonzero leading block")
-    # cross-check: Hankel of the product = H_B(eta=l) T H_C(eta=n)
-    Hc = hankel_causal(Fc, n).data
-    Hd = hankel_causal(LaurentPoly(0, out), 1).data
-    if np.max(np.abs(Hd - Hl @ T @ Hc)) > check_tol:
-        raise RuntimeError("Hankel product identity violated")
-    return LaurentPoly(-1, out)
+    return Fb.shift(-Fb.q).multiply(Fc.shift(-Fc.q))
 
 
 def interleave_coeffs(F, a, b, rho):

@@ -23,6 +23,8 @@ def _as_blocks(coeffs):
     for B in blocks:
         if B.shape != shape:
             raise ValueError("all coefficients must share the same p x m shape")
+        if not np.isfinite(B).all():
+            raise ValueError("coefficients must be finite (no NaN or Inf)")
         B.setflags(write=False)
     return blocks
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .laurent import LaurentPoly
 from .hankel import (DEFAULT_RANK_TOL, DEFAULT_TOL, hankel_causal,
-                     numerical_rank, shift_J, stack_B)
+                     numerical_rank, stack_B)
 
 __all__ = [
     "Realization", "GramianPair",
@@ -80,7 +80,7 @@ def naive_realization(F):
                            np.zeros((0, m), dtype=complex),
                            np.zeros((p, 0), dtype=complex), D)
     n = tail.n
-    A = shift_J(n, p)
+    A = np.eye(n * p, k=p, dtype=complex)
     B = stack_B(tail, 0)
     C = np.hstack([np.eye(p, dtype=complex),
                    np.zeros((p, (n - 1) * p), dtype=complex)])

@@ -8,8 +8,8 @@ import time
 import numpy as np
 
 from pufir.blaschke import (BPProduct, decode_angles, design_optimize,
-                            expand_coefficients, param_count, random_member,
-                            random_params, synth, synth_all_forms)
+                            param_count, random_member, random_params, synth,
+                            synth_all_forms)
 from pufir.examples import reblock_instance, square_example, wide_example
 from pufir.families import (compose_diag, compose_mix_cols,
                             compose_mix_rows, dilate, product_via_hankel,
@@ -21,7 +21,8 @@ from pufir.laurent import LaurentPoly
 from pufir.realization import (gramian_normalize, gramians,
                                minimal_realization)
 
-from conftest import circle_points, random_poly, random_unit
+from conftest import (circle_points, factor_chain, max_coeff_diff,
+                      random_poly, random_unit)
 
 
 def report(num, ok, detail):
@@ -120,11 +121,10 @@ def test_criterion_5_coefficient_expansion():
     for trial in range(100):
         p, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         d = int(rng.integers(0, 6))
-        prod = decode_angles(random_params(p, m, d, 0, seed=trial))
+        gamma = int(rng.integers(0, d + 1))
+        prod = decode_angles(random_params(p, m, d, gamma, seed=trial))
         F = synth(prod)
-        B = expand_coefficients(prod)
-        worst = max(worst, max(float(np.max(np.abs(b - c)))
-                               for b, c in zip(B, F.coeffs)))
+        worst = max(worst, max_coeff_diff(F, factor_chain(prod)))
         worst_u = max(worst_u, float(np.max(np.abs(F.eval(1.0) - prod.U))))
     ok = worst < 1e-11 and worst_u < 1e-11
     report(5, ok, f"100 draws: coefficient err {worst:.2e}, "

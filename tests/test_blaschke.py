@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from pufir.blaschke import (AngleParams, BPFactor, BPProduct, chart_size,
-                            decode_angles, design_optimize,
-                            expand_coefficients, factor_eval, factor_inverse,
-                            param_count, random_member, random_params, synth,
-                            synth_all_forms)
+                            decode_angles, design_optimize, factor_eval,
+                            factor_inverse, param_count, random_member,
+                            random_params, synth, synth_all_forms)
 from pufir.hankel import is_paraunitary_hankel, mcmillan_degree
 
-from conftest import circle_points, random_unit
+from conftest import circle_points, factor_chain, max_coeff_diff, random_unit
 
 
 def test_factor_eval_basic():
@@ -99,12 +98,15 @@ def test_three_forms_agree(rng):
 
 
 def test_expand_coefficients_single():
-    v = np.array([0.6, 0.8], dtype=complex)
-    prod = BPProduct("iso", 0, (v,), np.eye(2))
-    B = expand_coefficients(prod)
+    # I + (1/z-1)P = Q + P/z causal, I + (z-1)P = zP + Q anti-causal
+    v = np.array([0.6, 0.8j])
     P = np.outer(v, v.conj())
-    assert np.allclose(B[0], np.eye(2) - P)
-    assert np.allclose(B[1], P)
+    for gamma, first, second in ((0, np.eye(2) - P, P),
+                                 (1, P, np.eye(2) - P)):
+        F = synth(BPProduct("iso", gamma, (v,), np.eye(2)))
+        assert F.q == 1 + gamma and F.n == 2
+        assert np.allclose(F.coeffs[0], first)
+        assert np.allclose(F.coeffs[1], second)
 
 
 def test_expand_matches_synth(rng):
@@ -112,19 +114,11 @@ def test_expand_matches_synth(rng):
         side = "iso" if seed % 2 == 0 else "coiso"
         p, m = (3, 2) if side == "iso" else (2, 3)
         d = int(rng.integers(1, 6))
-        prod = decode_angles(random_params(p, m, d, 0, seed, side))
+        gamma = int(rng.integers(0, d + 1))
+        prod = decode_angles(random_params(p, m, d, gamma, seed, side))
         F = synth(prod)
-        B = expand_coefficients(prod)
-        assert len(B) == F.n
-        assert max(np.max(np.abs(b - c))
-                   for b, c in zip(B, F.coeffs)) < 1e-11
+        assert max_coeff_diff(F, factor_chain(prod)) < 1e-11
         assert np.max(np.abs(F.eval(1.0) - prod.U)) < 1e-11
-
-
-def test_expand_requires_causal():
-    with pytest.raises(ValueError):
-        expand_coefficients(BPProduct("iso", 1,
-                                      (np.array([1.0, 0.0]),), np.eye(2)))
 
 
 def test_param_count_values():

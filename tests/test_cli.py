@@ -6,8 +6,8 @@ import pytest
 from pufir.blaschke import random_params
 from pufir.cli import main
 from pufir.examples import square_example, wide_example
-from pufir.io import (dumps_poly, load_poly, loads_poly, save_angles,
-                      save_poly)
+from pufir.io import (dumps_poly, load_poly, loads_poly, poly_to_dict,
+                      save_angles, save_poly)
 from pufir.laurent import LaurentPoly
 
 from conftest import random_poly
@@ -67,6 +67,29 @@ def test_check_malformed_exit(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["check", str(path)]) == 2
     assert main(["check", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["degree", "check", "realize"])
+def test_non_finite_coefficient_exit(tmp_path, capsys, command, bad):
+    data = poly_to_dict(square_example(1))
+    data["coeffs"][1][0][1][0] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+def test_non_finite_angle_exit(tmp_path, capsys):
+    path = tmp_path / "angles.json"
+    save_angles(random_params(2, 2, 3, 1, 9), path)
+    data = json.loads(path.read_text())
+    data["angles"][2] = float("nan")
+    path.write_text(json.dumps(data))
+    assert main(["synth", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
 
 
 def test_degree(wide_file, capsys):

@@ -8,11 +8,11 @@ from pufir.families import (compose_diag, compose_mix_cols,
                             hankel_abr, interleave_coeffs,
                             product_via_hankel, reblock, rect_stack,
                             rect_widen, reverse_poly, u_coiso, u_iso)
-from pufir.hankel import (flip_T, hankel_causal, is_paraunitary_hankel,
-                          mcmillan_degree)
+from pufir.hankel import (hankel_causal, is_paraunitary_hankel,
+                          mcmillan_degree, stack_B)
 from pufir.laurent import LaurentPoly
 
-from conftest import circle_points, random_poly
+from conftest import block_flip, circle_points, random_poly
 
 
 def member(F, tol=1e-9):
@@ -195,6 +195,25 @@ def test_product_via_hankel_matches_multiply(rng):
     with pytest.raises(ValueError):
         product_via_hankel(square_example(0), wide_example(0).conjugate()
                            .conjugate())
+
+
+def test_product_stacked_hankel_identities(rng):
+    # with T the block flip and both inputs normalized to q = 0:
+    # [0; D_1; ...] = H_B(eta=l) T [0_n; C_1; ...; C_l] and
+    # H_D(eta=1) = H_B(eta=l) T H_C(eta=n)
+    for p, rho, mc, n, l in ((2, 3, 2, 3, 2), (1, 2, 3, 1, 4),
+                             (3, 1, 1, 4, 1), (2, 2, 2, 1, 1)):
+        Fb = random_poly(rng, p, rho, n, q=int(rng.integers(-2, 3)))
+        Fc = random_poly(rng, rho, mc, l, q=int(rng.integers(-2, 3)))
+        P = product_via_hankel(Fb, Fc)
+        assert (P.q, P.n) == (-1, n + l - 1)
+        Fb0, Fc0 = Fb.shift(-Fb.q), Fc.shift(-Fc.q)
+        HT = hankel_causal(Fb0, l).data @ block_flip(n + l, rho)
+        Dstack = HT @ stack_B(Fc0, n)
+        assert np.max(np.abs(Dstack[:p])) < 1e-12
+        assert np.max(np.abs(Dstack[p:] - stack_B(P))) < 1e-12
+        Hc = hankel_causal(Fc0, n).data
+        assert np.max(np.abs(hankel_causal(P).data - HT @ Hc)) < 1e-12
 
 
 def test_product_via_hankel_members():

@@ -3,9 +3,9 @@ import pytest
 
 from pufir.blaschke import random_member
 from pufir.examples import square_example, wide_example
-from pufir.hankel import (defect_structure, flip_T, hankel_anticausal,
+from pufir.hankel import (defect_structure, hankel_anticausal,
                           hankel_causal, hankel_pair, is_paraunitary_hankel,
-                          mcmillan_degree, numerical_rank, shift_J, stack_B,
+                          mcmillan_degree, numerical_rank, stack_B,
                           toeplitz_gram_equiv)
 from pufir.laurent import LaurentPoly
 
@@ -193,22 +193,15 @@ def test_toeplitz_gram(rng):
     assert toeplitz_gram_equiv(G) < 1e-14
 
 
-def test_shift_and_flip_layouts():
-    assert np.allclose(shift_J(2, 1), [[0, 1], [0, 0]])
-    assert np.allclose(flip_T(2, 1), [[0, 1], [1, 0]])
-    J = shift_J(3, 2)
-    assert np.allclose(J[:2, 2:4], np.eye(2))
-    assert np.max(np.abs(np.linalg.matrix_power(J, 3))) == 0
-
-
 def test_hankel_shift_factorization():
-    # block column j of H_eta equals J^j times the padded stack
+    # block column j of H_eta equals J^j times the padded stack, where the
+    # block shift J has I_p on its block superdiagonal
     F = wide_example(0)
     for eta in (0, 1):
         F_sh = F.shift(-eta)
         H = hankel_causal(F_sh)
         size = H.block_rows
-        J = shift_J(size, F.p)
+        J = np.eye(size * F.p, k=F.p)
         col = stack_B(F_sh, eta)
         for j in range(size):
             block = H.data[:, j * F.m:(j + 1) * F.m]

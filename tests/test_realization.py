@@ -23,6 +23,9 @@ def test_naive_square_example_layout():
     R = naive_realization(F)
     B2, B3 = F.coeffs[1], F.coeffs[2]
     assert R.nu == 4
+    # block shift: I_2 on the block superdiagonal, nilpotent of order 2
+    assert np.array_equal(R.A, np.kron(np.eye(2, k=1), np.eye(2)))
+    assert np.max(np.abs(np.linalg.matrix_power(R.A, 2))) == 0
     assert np.allclose(R.D, F.coeffs[0])
     assert np.allclose(R.B, np.vstack([B2, B3]))
     assert np.allclose(R.C, np.hstack([np.eye(2), np.zeros((2, 2))]))
