@@ -244,24 +244,28 @@ def synth_all_forms(prod):
     return wrap(core1), wrap(core2), wrap(core3)
 
 
+def _chart_k(side, p, m, d):
+    """Validate the chart shape; k = p (iso) or m (coiso)."""
+    if side not in ("iso", "coiso"):
+        raise ValueError(f"unknown side {side!r}")
+    for name, value, low in (("p", p, 1), ("m", m, 1), ("d", d, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if side == "iso" and p < m:
+        raise ValueError("iso side needs p >= m")
+    if side == "coiso" and m < p:
+        raise ValueError("coiso side needs m >= p")
+    return p if side == "iso" else m
+
+
 def param_count(side, p, m, d):
     """Real dimension of the degree-d para-unitary polytope.
 
     The full parametrization consists of d+1 discrete copies (the split
     index) of a polytope of this dimension.
     """
-    if side == "iso":
-        if p < m:
-            raise ValueError("iso side needs p >= m")
-        a, b = p, m
-    elif side == "coiso":
-        if m < p:
-            raise ValueError("coiso side needs m >= p")
-        a, b = m, p
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    _chart_k(side, p, m, d)
+    a, b = (p, m) if side == "iso" else (m, p)
     return (2 * a - b - 1) * (b + d) + d * (b - 1) + b
 
 
@@ -295,7 +299,8 @@ class AngleParams:
 
 
 def chart_size(side, p, m, d):
-    k = p if side == "iso" else m
+    """Number of chart angles; refuses a side or shape with no chart."""
+    k = _chart_k(side, p, m, d)
     return d * (2 * k - 1) + k * k
 
 

@@ -172,10 +172,8 @@ def cmd_realize(args):
 
 
 def cmd_optimize(args):
-    target = np.eye(args.p, args.m)
-
     def objective(F):
-        return float(np.linalg.norm(F.eval(1.0) - target, "fro"))
+        return float(np.linalg.norm(F.eval(1.0) - np.eye(F.p, F.m), "fro"))
 
     params, F, value = design_optimize(objective, args.p, args.m, args.d,
                                        args.gamma, args.budget,

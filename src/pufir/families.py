@@ -44,23 +44,14 @@ def reblock(F, j):
     if not 1 <= j <= 1 + eta:
         raise ValueError(f"j must lie in [1, {1 + eta}]")
     p, m, n = F.p, F.m, F.n
-    total = n + eta
-    count = -(-total // j)         # superblock columns after zero padding
-
-    def c(k):
-        # 0-based coefficient sequence: eta zeros, B_1, ..., B_n, zeros
-        if eta <= k <= eta + n - 1:
-            return F.coeffs[k - eta]
-        return np.zeros((p, m), dtype=complex)
-
-    out = []
-    for t in range(count):
-        D = np.zeros((j * p, j * m), dtype=complex)
-        for i in range(j):
-            for l in range(j):
-                D[i * p:(i + 1) * p, l * m:(l + 1) * m] = c(t * j + i + l)
-        out.append(D)
-    return LaurentPoly(0, out)
+    count = -(-(n + eta) // j)     # superblock columns after zero padding
+    # 0-based coefficient sequence: eta zeros, B_1, ..., B_n, zeros
+    seq = np.zeros(((count + 1) * j - 1, p, m), dtype=complex)
+    seq[eta:eta + n] = F.coeffs
+    t, i, l = np.ogrid[:count, :j, :j]
+    blocks = seq[t * j + i + l]                 # block (i, l) of D_t
+    return LaurentPoly(0, blocks.transpose(0, 1, 3, 2, 4)
+                       .reshape(count, j * p, j * m))
 
 
 def dilate(F, a, gamma):
@@ -68,10 +59,8 @@ def dilate(F, a, gamma):
     gamma = int(gamma)
     if gamma < 1:
         raise ValueError("gamma must be a positive integer")
-    p, m = F.p, F.m
-    out = [np.zeros((p, m), dtype=complex) for _ in range(F.n * gamma)]
-    for k, B in enumerate(F.coeffs, start=1):
-        out[k * gamma - 1] = np.array(B)
+    out = np.zeros((F.n * gamma, F.p, F.m), dtype=complex)
+    out[gamma - 1::gamma] = F.coeffs
     return LaurentPoly(int(a), out)
 
 
@@ -107,10 +96,8 @@ def exponent_map(F, exponents):
     gaps = {b - a for a, b in zip(starts, starts[1:])}
     if len(gaps) > 1:
         raise ValueError("exponent pattern rejected: non-uniform run spacing")
-    p, m = F.p, F.m
-    out = [np.zeros((p, m), dtype=complex) for _ in range(exponents[-1])]
-    for B, e in zip(F.coeffs, exponents):
-        out[e - 1] = np.array(B)
+    out = np.zeros((exponents[-1], F.p, F.m), dtype=complex)
+    out[np.array(exponents) - 1] = F.coeffs
     return LaurentPoly(0, out)
 
 
@@ -135,15 +122,14 @@ def u_coiso(alpha, beta, eta, delta):
 
 
 def _grouped(F, rho):
-    """Coefficient groups of rho, zero-padded at the tail."""
+    """(groups, rho, p, m) coefficient groups, zero-padded at the tail."""
     rho = int(rho)
     if rho < 1:
         raise ValueError("rho must be >= 1")
-    p, m = F.p, F.m
-    coeffs = [np.array(B) for B in F.coeffs]
-    while len(coeffs) % rho:
-        coeffs.append(np.zeros((p, m), dtype=complex))
-    return [coeffs[g:g + rho] for g in range(0, len(coeffs), rho)]
+    groups = -(-F.n // rho)
+    out = np.zeros((groups * rho, F.p, F.m), dtype=complex)
+    out[:F.n] = F.coeffs
+    return out.reshape(groups, rho, F.p, F.m)
 
 
 def rect_stack(F, rho):
@@ -151,7 +137,8 @@ def rect_stack(F, rho):
 
     Preserves the isometry side of para-unitarity.
     """
-    return LaurentPoly(0, [np.vstack(g) for g in _grouped(F, rho)])
+    g = _grouped(F, rho)
+    return LaurentPoly(0, g.reshape(len(g), -1, F.m))
 
 
 def rect_widen(F, rho):
@@ -159,19 +146,17 @@ def rect_widen(F, rho):
 
     Preserves the co-isometry side of para-unitarity.
     """
-    return LaurentPoly(0, [np.hstack(g) for g in _grouped(F, rho)])
+    g = _grouped(F, rho)
+    return LaurentPoly(0, g.transpose(0, 2, 1, 3).reshape(len(g), F.p, -1))
 
 
-def _aligned(Fb, Fc):
-    """q=0 normalizations with equal coefficient counts (zero-padded)."""
-    Fb = Fb.shift(-Fb.q)
-    Fc = Fc.shift(-Fc.q)
-    n = max(Fb.n, Fc.n)
-    Bs = list(Fb.coeffs) + [np.zeros((Fb.p, Fb.m), dtype=complex)
-                            for _ in range(n - Fb.n)]
-    Cs = list(Fc.coeffs) + [np.zeros((Fc.p, Fc.m), dtype=complex)
-                            for _ in range(n - Fc.n)]
-    return Bs, Cs
+def _canvas(Fb, Fc, p, m):
+    """Zero (max n, p, m) coefficients for a composition of two inputs.
+
+    Both inputs start at the first block, so the shorter one ends up
+    zero-padded.
+    """
+    return np.zeros((max(Fb.n, Fc.n), p, m), dtype=complex)
 
 
 def compose_diag(Fb, Fc, variant="diag"):
@@ -182,16 +167,12 @@ def compose_diag(Fb, Fc, variant="diag"):
     """
     if variant not in ("diag", "antidiag"):
         raise ValueError(f"unknown variant {variant!r}")
-    Bs, Cs = _aligned(Fb, Fc)
-    out = []
-    for B, C in zip(Bs, Cs):
-        if variant == "diag":
-            D = np.block([[B, np.zeros((B.shape[0], C.shape[1]))],
-                          [np.zeros((C.shape[0], B.shape[1])), C]])
-        else:
-            D = np.block([[np.zeros((B.shape[0], C.shape[1])), B],
-                          [C, np.zeros((C.shape[0], B.shape[1]))]])
-        out.append(D)
+    out = _canvas(Fb, Fc, Fb.p + Fc.p, Fb.m + Fc.m)
+    # diag: [[B, 0], [0, C]]; antidiag: [[0, B], [C, 0]]
+    b0 = 0 if variant == "diag" else Fc.m
+    c0 = Fb.m if variant == "diag" else 0
+    out[:Fb.n, :Fb.p, b0:b0 + Fb.m] = Fb.coeffs
+    out[:Fc.n, Fb.p:, c0:c0 + Fc.m] = Fc.coeffs
     return LaurentPoly(0, out)
 
 
@@ -204,13 +185,9 @@ def compose_mix_rows(Fb, Fc, alpha):
         raise ValueError("alpha must lie in [0, 1]")
     if Fc.m < Fb.m:
         raise ValueError("compose_mix_rows needs m_c >= m_b")
-    Bs, Cs = _aligned(Fb, Fc)
-    sa, sb = np.sqrt(alpha), np.sqrt(1.0 - alpha)
-    pad = Fc.m - Fb.m
-    out = []
-    for B, C in zip(Bs, Cs):
-        top = sa * np.hstack([B, np.zeros((Fb.p, pad))])
-        out.append(np.vstack([top, sb * C]))
+    out = _canvas(Fb, Fc, Fb.p + Fc.p, Fc.m)
+    out[:Fb.n, :Fb.p, :Fb.m] = np.sqrt(alpha) * Fb.coeffs
+    out[:Fc.n, Fb.p:] = np.sqrt(1.0 - alpha) * Fc.coeffs
     return LaurentPoly(0, out)
 
 
@@ -220,14 +197,9 @@ def compose_mix_cols(Fb, Fc, alpha):
         raise ValueError("alpha must lie in [0, 1]")
     if Fb.p < Fc.p:
         raise ValueError("compose_mix_cols needs p_b >= p_c")
-    Bs, Cs = _aligned(Fb, Fc)
-    sa, sb = np.sqrt(alpha), np.sqrt(1.0 - alpha)
-    pad = Fb.p - Fc.p
-    out = []
-    for B, C in zip(Bs, Cs):
-        left = sa * B
-        right = sb * np.vstack([C, np.zeros((pad, Fc.m))])
-        out.append(np.hstack([left, right]))
+    out = _canvas(Fb, Fc, Fb.p, Fb.m + Fc.m)
+    out[:Fb.n, :, :Fb.m] = np.sqrt(alpha) * Fb.coeffs
+    out[:Fc.n, :Fc.p, Fb.m:] = np.sqrt(1.0 - alpha) * Fc.coeffs
     return LaurentPoly(0, out)
 
 
@@ -247,7 +219,7 @@ def product_via_hankel(Fb, Fc):
 
 
 def interleave_coeffs(F, a, b, rho):
-    """Coefficient sequence of the (a, b, rho)-interleaved polynomial.
+    """(N, p, m) coefficient array of the (a, b, rho)-interleaved polynomial.
 
     Groups of rho consecutive coefficients separated by (a+b)*rho zero
     blocks, with b*rho leading and a*rho trailing zero blocks.  The input
@@ -255,16 +227,12 @@ def interleave_coeffs(F, a, b, rho):
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
-    groups = _grouped(F, rho)
-    p, m = F.p, F.m
-    z = np.zeros((p, m), dtype=complex)
-    seq = [z] * (b * rho)
-    for g, grp in enumerate(groups):
-        if g:
-            seq = seq + [z] * ((a + b) * rho)
-        seq = seq + grp
-    seq = seq + [z] * (a * rho)
-    return seq
+    g = _grouped(F, rho)
+    groups, rho = g.shape[:2]
+    # each group: b*rho zero blocks, the group, a*rho zero blocks
+    out = np.zeros((groups, (a + b + 1) * rho, F.p, F.m), dtype=complex)
+    out[:, b * rho:(b + 1) * rho] = g
+    return out.reshape(-1, F.p, F.m)
 
 
 def hankel_abr(F, a, b, rho):

@@ -68,13 +68,13 @@ def _empty_hankel(p, m):
 
 def stack_B(F, eta=0):
     """(n+eta)p x m block column: eta zero blocks over B_1 ... B_n."""
-    zeros = np.zeros((eta * F.p, F.m), dtype=complex)
-    return np.vstack([zeros] + [np.asarray(B) for B in F.coeffs])
+    zeros = np.zeros((eta, F.p, F.m), dtype=complex)
+    return np.concatenate((zeros, F.coeffs)).reshape(-1, F.m)
 
 
 def flat_B(F):
     """p x nm block row (B_1, ..., B_n)."""
-    return np.hstack([np.asarray(B) for B in F.coeffs])
+    return F.coeffs.transpose(1, 0, 2).reshape(F.p, -1)
 
 
 def hankel_causal(F, eta=None):
@@ -127,11 +127,11 @@ def hankel_pair(F):
         return HankelPair(_empty_hankel(F.p, F.m), hankel_anticausal(F))
     # genuine Laurent regime q in [1, n]: H from B_{q+1}..B_n, Hhat from
     # B_{q-1}..B_1
-    tail = list(F.coeffs[q:])
-    head = list(F.coeffs[:q - 1][::-1])
-    H = (hankel_causal(LaurentPoly(0, tail), 0) if tail
+    tail = F.coeffs[q:]
+    head = F.coeffs[:q - 1][::-1]
+    H = (hankel_causal(LaurentPoly(0, tail), 0) if len(tail)
          else _empty_hankel(F.p, F.m))
-    H_hat = (hankel_causal(LaurentPoly(0, head), 0) if head
+    H_hat = (hankel_causal(LaurentPoly(0, head), 0) if len(head)
              else _empty_hankel(F.p, F.m))
     return HankelPair(H, H_hat)
 
@@ -204,19 +204,20 @@ def defect_structure(F, tol=DEFAULT_TOL):
     block Delta is reported with its PSD / weak-contraction classification
     and, in the square case, whether it is an orthogonal projection.
     """
-    check = is_paraunitary_hankel(F, tol)
-    if not check.member:
-        raise ValueError("defect_structure requires a para-unitary input "
-                         f"(residual {check.residual:.3e})")
     A = _normalized_h0(F)
     p, m = F.p, F.m
     if p >= m:
+        role, s = "isometry", m
         X = np.eye(F.n * m) - A.conj().T @ A
-        s = m
     else:
+        role, s = "co-isometry", p
         X = np.eye(F.n * p) - A @ A.conj().T
-        s = p
     del A       # H_0 is the largest array; free it before the eigen-solve
+    # the membership residual of is_paraunitary_hankel, read off X
+    residual = float(np.max(np.abs(X[:s])))
+    if residual > tol:
+        raise ValueError("defect_structure requires a para-unitary input "
+                         f"(residual {residual:.3e})")
     zero_ok = float(np.max(np.abs(X[:s, :s]))) <= tol
     coupling = max(float(np.max(np.abs(X[:s, s:]), initial=0.0)),
                    float(np.max(np.abs(X[s:, :s]), initial=0.0)))
@@ -227,7 +228,7 @@ def defect_structure(F, tol=DEFAULT_TOL):
     contraction = bool(eigs.size == 0 or eigs.max() <= 1.0 + tol)
     projection = bool(p == m and
                       np.all(np.minimum(np.abs(eigs), np.abs(eigs - 1)) <= tol))
-    return DefectReport(check.role, zero_ok, coupling <= tol, delta, eigs,
+    return DefectReport(role, zero_ok, coupling <= tol, delta, eigs,
                         psd, contraction, projection)
 
 

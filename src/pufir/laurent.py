@@ -14,18 +14,20 @@ __all__ = ["LaurentPoly", "constant", "delay", "zero"]
 
 
 def _as_blocks(coeffs):
-    blocks = tuple(np.array(B, dtype=complex) for B in coeffs)
-    if not blocks:
+    try:
+        blocks = np.array(coeffs, dtype=complex)
+    except ValueError as exc:       # ragged: blocks of unequal shapes
+        if np.ndim(coeffs[0]) != 2:
+            raise ValueError("coefficients must be 2-d matrices") from exc
+        raise ValueError("all coefficients must share the same p x m "
+                         "shape") from exc
+    if blocks.ndim >= 1 and len(blocks) == 0:
         raise ValueError("a Laurent polynomial needs at least one coefficient")
-    shape = blocks[0].shape
-    if len(shape) != 2:
+    if blocks.ndim != 3:
         raise ValueError("coefficients must be 2-d matrices")
-    for B in blocks:
-        if B.shape != shape:
-            raise ValueError("all coefficients must share the same p x m shape")
-        if not np.isfinite(B).all():
-            raise ValueError("coefficients must be finite (no NaN or Inf)")
-        B.setflags(write=False)
+    if not np.isfinite(blocks).all():
+        raise ValueError("coefficients must be finite (no NaN or Inf)")
+    blocks.setflags(write=False)
     return blocks
 
 
@@ -34,12 +36,13 @@ class LaurentPoly:
     """p x m matrix Laurent polynomial F(z) = z^q sum_{k=1..n} z^-k B_k.
 
     Value semantics: instances are immutable, all operations return new
-    polynomials.  The coefficient B_k sits at the power q - k, so the
-    represented powers run from q - n up to q - 1.
+    polynomials.  The coefficients form one read-only (n, p, m) array with
+    B_k = coeffs[k-1] at the power q - k, so the represented powers run
+    from q - n up to q - 1.
     """
 
     q: int
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __init__(self, q, coeffs):
         object.__setattr__(self, "q", int(q))
@@ -49,11 +52,11 @@ class LaurentPoly:
 
     @property
     def p(self):
-        return self.coeffs[0].shape[0]
+        return self.coeffs.shape[1]
 
     @property
     def m(self):
-        return self.coeffs[0].shape[1]
+        return self.coeffs.shape[2]
 
     @property
     def n(self):
@@ -67,7 +70,7 @@ class LaurentPoly:
         return np.zeros((self.p, self.m), dtype=complex)
 
     def is_zero(self, tol=0.0):
-        return all(np.max(np.abs(B)) <= tol for B in self.coeffs)
+        return bool(np.max(np.abs(self.coeffs)) <= tol)
 
     # -- evaluation -------------------------------------------------------
 
@@ -91,15 +94,15 @@ class LaurentPoly:
         return LaurentPoly(self.q + int(k), self.coeffs)
 
     def scale(self, c):
-        return LaurentPoly(self.q, tuple(c * B for B in self.coeffs))
+        return LaurentPoly(self.q, c * self.coeffs)
 
     def trim(self, tol=0.0):
         """Strip zero leading/trailing coefficient blocks, adjusting q and n.
 
         The zero polynomial trims to the canonical form q=0, n=1, B_1=0.
         """
-        nz = [i for i, B in enumerate(self.coeffs) if np.max(np.abs(B)) > tol]
-        if not nz:
+        nz = np.flatnonzero(np.max(np.abs(self.coeffs), axis=(1, 2)) > tol)
+        if not nz.size:
             return zero(self.p, self.m)
         i, j = nz[0], nz[-1]
         return LaurentPoly(self.q - i, self.coeffs[i:j + 1])
@@ -110,14 +113,11 @@ class LaurentPoly:
         if (self.p, self.m) != (other.p, other.m):
             raise ValueError("dimension mismatch in add: "
                              f"{self.p}x{self.m} vs {other.p}x{other.m}")
-        hi = max(self.q - 1, other.q - 1)
+        q = max(self.q, other.q)
         lo = min(self.q - self.n, other.q - other.n)
-        q = hi + 1
-        out = [np.zeros((self.p, self.m), dtype=complex)
-               for _ in range(hi - lo + 1)]
-        for poly in (self, other):
-            for k, B in enumerate(poly.coeffs, start=1):
-                out[q - (poly.q - k) - 1] += B
+        out = np.zeros((q - lo, self.p, self.m), dtype=complex)
+        out[q - self.q:q - self.q + self.n] += self.coeffs
+        out[q - other.q:q - other.q + other.n] += other.coeffs
         return LaurentPoly(q, out)
 
     def __neg__(self):
@@ -133,12 +133,10 @@ class LaurentPoly:
         if self.m != other.p:
             raise ValueError("inner dimension mismatch in multiply: "
                              f"{self.p}x{self.m} times {other.p}x{other.m}")
-        n, l = self.n, other.n
-        out = [np.zeros((self.p, other.m), dtype=complex)
-               for _ in range(n + l - 1)]
-        for k, B in enumerate(self.coeffs, start=1):
-            for j, C in enumerate(other.coeffs, start=1):
-                out[k + j - 2] += B @ C
+        l = other.n
+        out = np.zeros((self.n + l - 1, self.p, other.m), dtype=complex)
+        for k, B in enumerate(self.coeffs):
+            out[k:k + l] += B @ other.coeffs
         return LaurentPoly(self.q + other.q - 1, out)
 
     def __matmul__(self, other):
@@ -149,7 +147,7 @@ class LaurentPoly:
 
         On the unit circle this is the pointwise adjoint of F.
         """
-        rev = tuple(B.conj().T for B in self.coeffs[::-1])
+        rev = self.coeffs[::-1].conj().transpose(0, 2, 1)
         return LaurentPoly(self.n + 1 - self.q, rev)
 
     def split(self):
@@ -158,17 +156,13 @@ class LaurentPoly:
         F_r is strictly causal (negative powers only), F_l strictly
         anti-causal (positive powers only) and D is the z^0 coefficient.
         """
-        left, right = [], []
-        for k, B in enumerate(self.coeffs, start=1):
-            power = self.q - k
-            if power > 0:
-                left.append((power, B))
-            elif power < 0:
-                right.append((power, B))
-        D = self.coefficient(0).copy()
-        return (_from_terms(left, self.p, self.m),
-                D,
-                _from_terms(right, self.p, self.m))
+        q = self.q
+        left = self.coeffs[:max(q - 1, 0)]        # B_k with k < q
+        right = self.coeffs[max(q, 0):]           # B_k with k > q
+        zero_part = zero(self.p, self.m)
+        return (LaurentPoly(q, left) if len(left) else zero_part,
+                self.coefficient(0).copy(),
+                LaurentPoly(min(q, 0), right) if len(right) else zero_part)
 
     # -- analysis -----------------------------------------------------------
 
@@ -192,46 +186,29 @@ class LaurentPoly:
                 return label, flags
         raise AssertionError("causality flags cannot be empty")
 
-    def unitary_defect(self, sample_count=None):
+    def unitary_defect(self):
         """Worst deviation from (co-)isometry over unit-circle samples.
 
-        Samples F at equispaced points z_j on |z|=1 and returns the maximum
-        Frobenius norm of F*F - I (p >= m) or FF* - I (m > p).  The default
-        sample count 4(n+1) oversamples the degree-2n trigonometric identity
-        by a factor of two.
+        Samples F at the 4(n+1) equispaced points z_j on |z|=1, which
+        oversample the degree-2n trigonometric identity by a factor of two,
+        and returns the maximum Frobenius norm of F*F - I (p >= m) or
+        FF* - I (m > p).  Up to the unimodular factor z^(q-1), which cancels
+        in the Gram, the samples are one zero-padded FFT of the coefficients.
         """
-        count = int(sample_count) if sample_count else 4 * (self.n + 1)
-        if count < 1:
-            raise ValueError("sample_count must be >= 1")
-        worst = 0.0
-        eye = np.eye(min(self.p, self.m))
-        for j in range(count):
-            z = np.exp(2j * np.pi * j / count)
-            G = self.eval(z)
-            gram = G.conj().T @ G if self.p >= self.m else G @ G.conj().T
-            worst = max(worst, float(np.linalg.norm(gram - eye, "fro")))
-        return worst
+        G = np.fft.fft(self.coeffs, 4 * (self.n + 1), axis=0)
+        Gh = G.conj().transpose(0, 2, 1)
+        gram = Gh @ G if self.p >= self.m else G @ Gh
+        gram -= np.eye(min(self.p, self.m))
+        return float(np.max(np.linalg.norm(gram, axis=(1, 2))))
 
     def allclose(self, other, tol=1e-12):
         """Coefficient-wise equality as functions (ignoring representation)."""
         return (self - other).is_zero(tol)
 
 
-def _from_terms(terms, p, m):
-    if not terms:
-        return zero(p, m)
-    hi = max(pw for pw, _ in terms)
-    lo = min(pw for pw, _ in terms)
-    q = hi + 1
-    out = [np.zeros((p, m), dtype=complex) for _ in range(hi - lo + 1)]
-    for pw, B in terms:
-        out[q - pw - 1] += B
-    return LaurentPoly(q, out)
-
-
 def zero(p, m):
     """Canonical zero polynomial: q=0, single zero coefficient."""
-    return LaurentPoly(0, [np.zeros((p, m), dtype=complex)])
+    return LaurentPoly(0, np.zeros((1, p, m), dtype=complex))
 
 
 def constant(M):

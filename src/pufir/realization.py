@@ -55,16 +55,11 @@ def _split_causal(F):
     """Normalize a causal polynomial: return (D, strictly causal tail q=0)."""
     if F.q > 1:
         raise ValueError(f"polynomial is not causal (q={F.q} > 1)")
-    if F.q == 1:
-        D = np.array(F.coeffs[0])
-        tail = F.coeffs[1:]
-        if not tail:
-            return D, None
-        return D, LaurentPoly(0, tail)
-    # q <= 0: no z^0 term; renormalize shift to q=0 by padding leading zeros
-    D = np.zeros((F.p, F.m), dtype=complex)
-    pad = [np.zeros((F.p, F.m), dtype=complex)] * (-F.q)
-    return D, LaurentPoly(0, list(pad) + [np.array(B) for B in F.coeffs])
+    D = F.coefficient(0).copy()
+    # q = 1 drops the z^0 term; q <= 0 pads -q leading zeros to reach q = 0
+    pad = np.zeros((max(-F.q, 0), F.p, F.m), dtype=complex)
+    tail = np.concatenate((pad, F.coeffs[max(F.q, 0):]))
+    return D, (LaurentPoly(0, tail) if len(tail) else None)
 
 
 def naive_realization(F):
@@ -87,14 +82,6 @@ def naive_realization(F):
     return Realization(A, B, C, D)
 
 
-def _markov(F):
-    """Markov parameters M_1, M_2, ... of the strictly causal part."""
-    D, tail = _split_causal(F)
-    if tail is None:
-        return D, []
-    return D, [np.array(B) for B in tail.coeffs]
-
-
 def minimal_realization(F, rank_tol=DEFAULT_RANK_TOL):
     """Minimal realization via balanced square-root Hankel factorization.
 
@@ -104,15 +91,13 @@ def minimal_realization(F, rank_tol=DEFAULT_RANK_TOL):
     (equal diagonal Gramians).  A rank decision within a factor 10 of the
     threshold sets `rank_ambiguous` on the result.
     """
-    D, markov = _markov(F)
+    D, tail = _split_causal(F)
     p, m = F.p, F.m
-    if not markov or max(np.max(np.abs(M)) for M in markov) == 0.0:
+    if tail is None or not tail.coeffs.any():
         return Realization(np.zeros((0, 0), dtype=complex),
                            np.zeros((0, m), dtype=complex),
                            np.zeros((p, 0), dtype=complex), D)
-    tail = LaurentPoly(0, markov)
     H = hankel_causal(tail, 0).data
-    n = len(markov)
     U, sigma, Vh = np.linalg.svd(H)
     r = numerical_rank(sigma, rank_tol)
     ambiguous = bool(any(

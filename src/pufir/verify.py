@@ -33,11 +33,9 @@ def verify_examples(tol=1e-9):
 
     # square example: normalized minimal realization matrix is unitary
     R = gramian_normalize(minimal_realization(square_example(1)))
-    M = R.R
-    res_iso = float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[1]))))
-    res_coiso = float(np.max(np.abs(M @ M.conj().T - np.eye(M.shape[0]))))
-    add("square realization matrix 4x4", M.shape == (4, 4),
-        f"shape={M.shape}")
+    _, res_iso, res_coiso = check_unitary_realization(R, tol)
+    shape = R.R.shape
+    add("square realization matrix 4x4", shape == (4, 4), f"shape={shape}")
     add("square realization unitary", max(res_iso, res_coiso) <= tol,
         f"residuals iso={res_iso:.2e} coiso={res_coiso:.2e}")
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from pufir.hankel import hankel_causal
-from pufir.laurent import LaurentPoly
+from pufir.laurent import LaurentPoly, zero
 
 # Property tests draw the same examples on every run and are never timed
 # out, so tier-1 stays deterministic and its run time bounded.
@@ -90,6 +90,129 @@ def full_gram_residual(F):
 def block_flip(k, rho):
     """Dense k*rho x k*rho block anti-identity."""
     return np.kron(np.eye(k)[::-1], np.eye(rho))
+
+
+# -- block-loop oracles: the per-coefficient-block forms of the index maps
+# that the library computes by slicing the (n, p, m) coefficient array
+
+def _zero_block(p, m):
+    return np.zeros((p, m), dtype=complex)
+
+
+def add_blocks(F, G):
+    """F + G accumulated block by block onto a list of zero blocks."""
+    q = max(F.q, G.q)
+    lo = min(F.q - F.n, G.q - G.n)
+    out = [_zero_block(F.p, F.m) for _ in range(q - lo)]
+    for poly in (F, G):
+        for k, B in enumerate(poly.coeffs, start=1):
+            out[q - (poly.q - k) - 1] += B
+    return LaurentPoly(q, out)
+
+
+def split_terms(F):
+    """(F_l, D, F_r) by sorting (power, block) terms by the sign of power."""
+    def from_terms(terms):
+        if not terms:
+            return zero(F.p, F.m)
+        q = max(pw for pw, _ in terms) + 1
+        lo = min(pw for pw, _ in terms)
+        out = [_zero_block(F.p, F.m) for _ in range(q - lo)]
+        for pw, B in terms:
+            out[q - pw - 1] += B
+        return LaurentPoly(q, out)
+
+    terms = [(F.q - k, B) for k, B in enumerate(F.coeffs, start=1)]
+    return (from_terms([t for t in terms if t[0] > 0]),
+            F.coefficient(0),
+            from_terms([t for t in terms if t[0] < 0]))
+
+
+def sampled_defect(F):
+    """Max Frobenius (co-)isometry defect over 4(n+1) Horner evaluations."""
+    count = 4 * (F.n + 1)
+    eye = np.eye(min(F.p, F.m))
+    worst = 0.0
+    for j in range(count):
+        G = F.eval(np.exp(2j * np.pi * j / count))
+        gram = G.conj().T @ G if F.p >= F.m else G @ G.conj().T
+        worst = max(worst, float(np.linalg.norm(gram - eye, "fro")))
+    return worst
+
+
+def reblock_blocks(F, j):
+    """D_t block (i, l) = c(t*j + i + l) over eta = -q zeros, B_1..B_n."""
+    eta, p, m, n = -F.q, F.p, F.m, F.n
+
+    def c(k):
+        return F.coeffs[k - eta] if eta <= k < eta + n else _zero_block(p, m)
+
+    out = []
+    for t in range(-(-(n + eta) // j)):
+        D = np.zeros((j * p, j * m), dtype=complex)
+        for i in range(j):
+            for l in range(j):
+                D[i * p:(i + 1) * p, l * m:(l + 1) * m] = c(t * j + i + l)
+        out.append(D)
+    return LaurentPoly(0, out)
+
+
+def placed_blocks(F, exponents, q=0):
+    """B_k at z^-e_k (times z^q), zero blocks at every other exponent."""
+    out = [_zero_block(F.p, F.m) for _ in range(exponents[-1])]
+    for B, e in zip(F.coeffs, exponents):
+        out[e - 1] = np.array(B)
+    return LaurentPoly(q, out)
+
+
+def grouped_blocks(F, rho):
+    """Lists of rho consecutive blocks, the last padded with zero blocks."""
+    blocks = list(F.coeffs)
+    while len(blocks) % rho:
+        blocks.append(_zero_block(F.p, F.m))
+    return [blocks[g:g + rho] for g in range(0, len(blocks), rho)]
+
+
+def interleave_blocks(F, a, b, rho):
+    """b*rho zero blocks, groups separated by (a+b)*rho, a*rho trailing."""
+    z = _zero_block(F.p, F.m)
+    seq = [z] * (b * rho)
+    for g, grp in enumerate(grouped_blocks(F, rho)):
+        if g:
+            seq = seq + [z] * ((a + b) * rho)
+        seq = seq + grp
+    return seq + [z] * (a * rho)
+
+
+def compose_blocks(Fb, Fc, how, alpha=0.5):
+    """Block-by-block compositions of the zero-padded q = 0 inputs."""
+    n = max(Fb.n, Fc.n)
+    Bs = list(Fb.coeffs) + [_zero_block(Fb.p, Fb.m)] * (n - Fb.n)
+    Cs = list(Fc.coeffs) + [_zero_block(Fc.p, Fc.m)] * (n - Fc.n)
+    sa, sb = np.sqrt(alpha), np.sqrt(1.0 - alpha)
+    out = []
+    for B, C in zip(Bs, Cs):
+        Zbc = np.zeros((Fb.p, Fc.m))
+        Zcb = np.zeros((Fc.p, Fb.m))
+        if how == "diag":
+            D = np.block([[B, Zbc], [Zcb, C]])
+        elif how == "antidiag":
+            D = np.block([[Zbc, B], [C, Zcb]])
+        elif how == "mix-rows":
+            top = sa * np.hstack([B, np.zeros((Fb.p, Fc.m - Fb.m))])
+            D = np.vstack([top, sb * C])
+        else:
+            right = sb * np.vstack([C, np.zeros((Fb.p - Fc.p, Fc.m))])
+            D = np.hstack([sa * B, right])
+        out.append(D)
+    return LaurentPoly(0, out)
+
+
+def assert_same_poly(F, G):
+    """Equal shift, equal shape and equal coefficients, entry for entry."""
+    assert F.q == G.q
+    assert F.coeffs.shape == G.coeffs.shape
+    assert np.array_equal(F.coeffs, G.coeffs)
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from pufir.blaschke import random_params
+from pufir.blaschke import random_member, random_params
 from pufir.cli import main
 from pufir.examples import square_example, wide_example
 from pufir.io import (dumps_poly, load_poly, loads_poly, poly_to_dict,
@@ -90,6 +91,62 @@ def test_non_finite_angle_exit(tmp_path, capsys):
     assert main(["synth", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--p", "-1", "--m", "2", "--d", "2"], "p must be >= 1"),
+    (["sample", "--p", "0", "--m", "2", "--d", "2"], "p must be >= 1"),
+    (["sample", "--p", "2", "--m", "0", "--d", "2"], "m must be >= 1"),
+    (["sample", "--p", "2", "--m", "2", "--d", "-1"], "d must be >= 0"),
+    (["optimize", "--p", "2", "--m", "-3", "--d", "1", "--budget", "9"],
+     "m must be >= 1"),
+])
+def test_shape_argument_exit(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("side", "both", "unknown side 'both'"),
+    ("p", 0, "p must be >= 1"),
+    ("d", -2, "d must be >= 0"),
+    ("m", 3, "iso side needs p >= m"),
+])
+def test_bad_angle_file_exit(tmp_path, capsys, field, value, message):
+    path = tmp_path / "angles.json"
+    save_angles(random_params(2, 2, 3, 1, 9), path)       # iso, 2 x 2
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    assert main(["synth", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_check_member_runs_membership_once(tmp_path, monkeypatch, capsys):
+    import pufir.cli as cli
+    import pufir.hankel as hankel
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hankel, "hankel_causal",
+                        counted("hankel_causal", hankel.hankel_causal))
+    member = counted("is_paraunitary_hankel", hankel.is_paraunitary_hankel)
+    monkeypatch.setattr(hankel, "is_paraunitary_hankel", member)
+    monkeypatch.setattr(cli, "is_paraunitary_hankel", member)
+    path = tmp_path / "member.json"
+    save_poly(random_member(4, 2, 6, 0, seed=3), path)
+    assert main(["check", str(path)]) == 0
+    # degree, membership, singular values and the defect Gram: one build
+    # each, and no second membership test inside defect_structure
+    assert calls == {"hankel_causal": 4, "is_paraunitary_hankel": 1}
+    assert "defect structure" in capsys.readouterr().out
 
 
 def test_degree(wide_file, capsys):

@@ -169,3 +169,39 @@ def test_defect_shift_invariant(rng):
     F = wide_example(0)
     for k in (-3, 1, 4):
         assert abs(F.shift(k).unitary_defect() - F.unitary_defect()) < 1e-12
+
+
+def test_coeffs_is_one_read_only_array(rng):
+    F = random_poly(rng, 3, 2, 4, q=1)
+    assert isinstance(F.coeffs, np.ndarray)
+    assert F.coeffs.shape == (4, 3, 2) and F.coeffs.dtype == complex
+    with pytest.raises(ValueError):
+        F.coeffs[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        F.coeffs[1] = 0.0
+
+
+def test_constructor_copies_the_callers_array(rng):
+    C = rng.normal(size=(3, 2, 2)) + 0j
+    F = LaurentPoly(0, C)
+    C[0, 0, 0] = 99.0            # the caller's array stays writable
+    assert F.coeffs[0, 0, 0] != 99.0
+    assert not np.shares_memory(F.coeffs, C)
+    G = LaurentPoly(0, F.coeffs)
+    assert not np.shares_memory(G.coeffs, F.coeffs)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([], "at least one coefficient"),
+    (np.zeros((0, 2, 2)), "at least one coefficient"),
+    ([np.zeros(2), np.zeros(2)], "2-d matrices"),
+    ([np.zeros(2), np.zeros((2, 2))], "2-d matrices"),
+    ([np.zeros((2, 2, 2))], "2-d matrices"),
+    ([np.zeros((2, 2)), np.zeros((3, 3))], "same p x m shape"),
+    ([np.zeros((2, 2)), np.zeros(2)], "same p x m shape"),
+    ([np.full((2, 2), np.nan)], "finite"),
+    ([np.eye(2), np.full((2, 2), np.inf)], "finite"),
+])
+def test_constructor_errors(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        LaurentPoly(0, coeffs)
