@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,18 +19,27 @@ from . import families
 from .blaschke import decode_angles, design_optimize, random_member, synth
 from .hankel import (DEFAULT_TOL, defect_structure, hankel_pair,
                      is_paraunitary_hankel, mcmillan_degree)
-from .io import (angles_to_dict, dumps_poly, load_angles, load_poly,
-                 poly_to_dict, save_poly)
+from .io import (angles_to_dict, complex_pairs, dumps_json, dumps_poly,
+                 load_angles, load_poly, poly_to_dict, save_poly)
 from .realization import (check_unitary_realization, gramian_normalize,
                           gramians, minimal_realization)
 from .verify import verify_examples
 
 
 def _tol(args):
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("PUFIR_TOL")
-    return float(env) if env else DEFAULT_TOL
+    """--tol, else PUFIR_TOL, else DEFAULT_TOL; finite and > 0."""
+    source, value = "--tol", args.tol
+    if value is None:
+        source = "PUFIR_TOL"
+        value = os.environ.get("PUFIR_TOL") or DEFAULT_TOL
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{source} must be a finite number > 0, "
+                         f"got {value!r}")
+    return tol
 
 
 def _emit_poly(F, out):
@@ -37,15 +47,6 @@ def _emit_poly(F, out):
         save_poly(F, out)
     else:
         sys.stdout.write(dumps_poly(F))
-
-
-def _dump_json(data):
-    print(json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1))
-
-
-def _matrix_json(M):
-    return [[[float(x.real), float(x.imag)] for x in row]
-            for row in np.asarray(M)]
 
 
 def cmd_check(args):
@@ -75,7 +76,7 @@ def cmd_check(args):
             "delta_eigenvalues": [float(e) for e in d.delta_eigenvalues],
         }
     if args.json:
-        _dump_json(report)
+        sys.stdout.write(dumps_json(report))
     else:
         print(f"dimensions: {F.p}x{F.m}, q={F.q}, n={F.n}")
         print(f"causality: {label} (flags: {', '.join(sorted(flags))})")
@@ -96,7 +97,7 @@ def cmd_degree(args):
     F = load_poly(args.file)
     degree = mcmillan_degree(F)
     if args.json:
-        _dump_json({"mcmillan_degree": degree})
+        sys.stdout.write(dumps_json({"mcmillan_degree": degree}))
     else:
         print(degree)
     return 0
@@ -151,16 +152,16 @@ def cmd_realize(args):
     pair = gramians(R)
     report = {
         "nu": R.nu,
-        "A": _matrix_json(R.A), "B": _matrix_json(R.B),
-        "C": _matrix_json(R.C), "D": _matrix_json(R.D),
+        "A": complex_pairs(R.A), "B": complex_pairs(R.B),
+        "C": complex_pairs(R.C), "D": complex_pairs(R.D),
         "classification": label,
         "residual_isometry": res_iso, "residual_coisometry": res_coiso,
-        "W_cont": _matrix_json(pair.W_cont),
-        "W_obs": _matrix_json(pair.W_obs),
+        "W_cont": complex_pairs(pair.W_cont),
+        "W_obs": complex_pairs(pair.W_obs),
         "rank_ambiguous": R.rank_ambiguous,
     }
     if args.json:
-        _dump_json(report)
+        sys.stdout.write(dumps_json(report))
     else:
         print(f"state dimension: {R.nu}")
         print(f"classification: {label} (residuals iso {res_iso:.3e}, "
@@ -180,7 +181,7 @@ def cmd_optimize(args):
                                        seed=args.seed)
     report = {"value": value, "angles": angles_to_dict(params),
               "poly": poly_to_dict(F)}
-    _dump_json(report)
+    sys.stdout.write(dumps_json(report))
     return 0
 
 

@@ -14,17 +14,21 @@ from .blaschke import AngleParams
 from .laurent import LaurentPoly
 
 __all__ = [
+    "complex_pairs", "dumps_json",
     "poly_to_dict", "poly_from_dict", "dumps_poly", "loads_poly",
     "save_poly", "load_poly",
     "angles_to_dict", "angles_from_dict", "save_angles", "load_angles",
 ]
 
 
+def complex_pairs(M):
+    """Nested lists of [re, im] float pairs for a complex array."""
+    return np.stack([M.real, M.imag], -1).tolist()
+
+
 def poly_to_dict(F):
-    coeffs = [[[[float(x.real), float(x.imag)] for x in row]
-               for row in np.asarray(B)]
-              for B in F.coeffs]
-    return {"p": F.p, "m": F.m, "q": F.q, "n": F.n, "coeffs": coeffs}
+    return {"p": F.p, "m": F.m, "q": F.q, "n": F.n,
+            "coeffs": complex_pairs(F.coeffs)}
 
 
 def poly_from_dict(data):
@@ -41,13 +45,14 @@ def poly_from_dict(data):
     return F
 
 
-def _dumps(data):
+def dumps_json(data):
+    """The one JSON text format: sorted keys, one-space indent."""
     return json.dumps(data, sort_keys=True, separators=(",", ": "),
                       indent=1) + "\n"
 
 
 def dumps_poly(F):
-    return _dumps(poly_to_dict(F))
+    return dumps_json(poly_to_dict(F))
 
 
 def loads_poly(text):
@@ -81,7 +86,7 @@ def angles_from_dict(data):
 
 def save_angles(params, path):
     with open(path, "w") as fh:
-        fh.write(_dumps(angles_to_dict(params)))
+        fh.write(dumps_json(angles_to_dict(params)))
 
 
 def load_angles(path):

@@ -46,9 +46,7 @@ class Realization:
     @property
     def R(self):
         """The (nu+p) x (nu+m) realization matrix [[A, B], [C, D]]."""
-        top = np.hstack([self.A, self.B])
-        bot = np.hstack([self.C, self.D])
-        return np.vstack([top, bot])
+        return np.block([[self.A, self.B], [self.C, self.D]])
 
 
 def _split_causal(F):
@@ -62,6 +60,14 @@ def _split_causal(F):
     return D, (LaurentPoly(0, tail) if len(tail) else None)
 
 
+def _static(D):
+    """The nu = 0 realization of the constant transfer function D."""
+    p, m = D.shape
+    return Realization(np.zeros((0, 0), dtype=complex),
+                       np.zeros((0, m), dtype=complex),
+                       np.zeros((p, 0), dtype=complex), D)
+
+
 def naive_realization(F):
     """Shift realization A=J_n, B=coefficient stack, C=[I_p, 0], D=0.
 
@@ -69,17 +75,12 @@ def naive_realization(F):
     the strictly causal tail is realized with the block shift.
     """
     D, tail = _split_causal(F)
-    p, m = F.p, F.m
     if tail is None:
-        return Realization(np.zeros((0, 0), dtype=complex),
-                           np.zeros((0, m), dtype=complex),
-                           np.zeros((p, 0), dtype=complex), D)
-    n = tail.n
+        return _static(D)
+    n, p = tail.n, F.p
     A = np.eye(n * p, k=p, dtype=complex)
-    B = stack_B(tail, 0)
-    C = np.hstack([np.eye(p, dtype=complex),
-                   np.zeros((p, (n - 1) * p), dtype=complex)])
-    return Realization(A, B, C, D)
+    C = np.eye(p, n * p, dtype=complex)
+    return Realization(A, stack_B(tail, 0), C, D)
 
 
 def minimal_realization(F, rank_tol=DEFAULT_RANK_TOL):
@@ -92,28 +93,20 @@ def minimal_realization(F, rank_tol=DEFAULT_RANK_TOL):
     threshold sets `rank_ambiguous` on the result.
     """
     D, tail = _split_causal(F)
-    p, m = F.p, F.m
     if tail is None or not tail.coeffs.any():
-        return Realization(np.zeros((0, 0), dtype=complex),
-                           np.zeros((0, m), dtype=complex),
-                           np.zeros((p, 0), dtype=complex), D)
+        return _static(D)
+    p, m = F.p, F.m
     H = hankel_causal(tail, 0).data
     U, sigma, Vh = np.linalg.svd(H)
     r = numerical_rank(sigma, rank_tol)
     ambiguous = bool(any(
         rank_tol / 10 <= s / sigma[0] <= rank_tol * 10 for s in sigma))
-    if r == 0:
-        return Realization(np.zeros((0, 0), dtype=complex),
-                           np.zeros((0, m), dtype=complex),
-                           np.zeros((p, 0), dtype=complex), D, ambiguous)
     sr = np.sqrt(sigma[:r])
-    O = U[:, :r] * sr
-    Ctr = (sr[:, None]) * Vh[:r, :]
-    # row-shifted Hankel: drop the first block row, append a zero block row
-    H_up = np.vstack([H[p:, :], np.zeros((p, H.shape[1]), dtype=complex)])
-    A = (U[:, :r].conj().T @ H_up @ Vh[:r, :].conj().T) / np.outer(sr, sr)
-    B = Ctr[:, :m]
-    C = O[:p, :]
+    # the row-shifted Hankel is H[p:] above a zero block row, so only the
+    # first len(H) - p rows of U meet it
+    A = (U[:-p, :r].conj().T @ H[p:] @ Vh[:r].conj().T) / np.outer(sr, sr)
+    B = sr[:, None] * Vh[:r, :m]
+    C = U[:p, :r] * sr
     return Realization(A, B, C, D, ambiguous)
 
 
@@ -132,31 +125,33 @@ class GramianPair:
     W_obs: np.ndarray
 
 
-def _stein_solve(A, RHS):
-    """Solve W - A W A* = RHS as a dense linear system in vec(W)."""
-    nu = A.shape[0]
-    if nu == 0:
-        return np.zeros((0, 0), dtype=complex)
-    # column-major vec: vec(A W A*) = (conj(A) kron A) vec(W)
-    K = np.eye(nu * nu) - np.kron(A.conj(), A)
-    w = np.linalg.solve(K, RHS.reshape(-1, order="F"))
-    W = w.reshape((nu, nu), order="F")
-    return (W + W.conj().T) / 2.0
+def _stein_solve(A, RHS, tol):
+    """Solve W - A W A* = RHS by doubling, W = sum_k A^k RHS A*^k.
+
+    Each pass adds the next 2^j terms and squares A, so a nilpotent A is
+    summed exactly once its power vanishes; 64 passes cover every
+    spectral radius that rounds below 1.  The residual is checked
+    relative to the size of RHS (a NaN fails the check).
+    """
+    W, Ak = RHS, A
+    for _ in range(64):
+        if not Ak.any():
+            break
+        W = W + Ak @ W @ Ak.conj().T
+        Ak = Ak @ Ak
+    W = (W + W.conj().T) / 2.0
+    residual = np.max(np.abs(W - A @ W @ A.conj().T - RHS), initial=0.0)
+    if not residual <= tol * max(1.0, np.max(np.abs(RHS), initial=0.0)):
+        raise RuntimeError("Stein solve residual exceeds tolerance")
+    return W
 
 
 def gramians(R, tol=DEFAULT_TOL):
     """Controllability and observability Gramians of a Schur-stable A."""
     if R.nu and np.max(np.abs(np.linalg.eigvals(R.A))) >= 1.0:
         raise ValueError("A must be Schur stable (spectral radius < 1)")
-    W_cont = _stein_solve(R.A, R.B @ R.B.conj().T)
-    W_obs = _stein_solve(R.A.conj().T, R.C.conj().T @ R.C)
-    for W, RHS in ((W_cont, R.B @ R.B.conj().T),
-                   (W_obs, R.C.conj().T @ R.C)):
-        lhs = W - (R.A @ W @ R.A.conj().T if W is W_cont
-                   else R.A.conj().T @ W @ R.A)
-        if W.size and np.max(np.abs(lhs - RHS)) > tol:
-            raise RuntimeError("Stein solve residual exceeds tolerance")
-    return GramianPair(W_cont, W_obs)
+    return GramianPair(_stein_solve(R.A, R.B @ R.B.conj().T, tol),
+                       _stein_solve(R.A.conj().T, R.C.conj().T @ R.C, tol))
 
 
 def check_unitary_realization(R, tol=DEFAULT_TOL):
@@ -181,17 +176,13 @@ def check_unitary_realization(R, tol=DEFAULT_TOL):
     return label, res_iso, res_coiso
 
 
-def _psd_sqrt(W, inverse=False):
-    """Hermitian PSD square root (or inverse square root) by eigh."""
-    evals, evecs = np.linalg.eigh((W + W.conj().T) / 2.0)
-    evals = np.clip(evals, 0.0, None)
-    if inverse:
-        if np.any(evals <= 0):
-            raise ValueError("Gramian is singular, cannot invert its root")
-        root = 1.0 / np.sqrt(evals)
-    else:
-        root = np.sqrt(evals)
-    return (evecs * root) @ evecs.conj().T
+def _psd_sqrt(W):
+    """(W^{1/2}, W^{-1/2}) of a Hermitian positive definite W by one eigh."""
+    evals, evecs = np.linalg.eigh(W)
+    if not np.all(evals > 0):
+        raise ValueError("Gramian is singular, cannot invert its root")
+    root = np.sqrt(evals)
+    return (evecs * root) @ evecs.conj().T, (evecs / root) @ evecs.conj().T
 
 
 def gramian_normalize(R, mode=None, tol=DEFAULT_TOL):
@@ -210,10 +201,8 @@ def gramian_normalize(R, mode=None, tol=DEFAULT_TOL):
         return R
     pair = gramians(R, tol)
     if mode == "iso":
-        T = _psd_sqrt(pair.W_obs)
-        Tinv = _psd_sqrt(pair.W_obs, inverse=True)
+        T, Tinv = _psd_sqrt(pair.W_obs)
     else:
-        T = _psd_sqrt(pair.W_cont, inverse=True)
-        Tinv = _psd_sqrt(pair.W_cont)
+        Tinv, T = _psd_sqrt(pair.W_cont)
     return Realization(T @ R.A @ Tinv, T @ R.B, R.C @ Tinv, R.D,
                        R.rank_ambiguous)

@@ -87,6 +87,19 @@ def full_gram_residual(F):
     return float(np.max(np.abs(G[:F.p, :])))
 
 
+def kron_stein(A, RHS):
+    """W - A W A* = RHS as the dense nu^2 system in column-major vec(W).
+
+    vec(A W A*) = (conj(A) kron A) vec(W), so (I - conj(A) kron A)
+    vec(W) = vec(RHS); the solution is symmetrized.
+    """
+    nu = A.shape[0]
+    K = np.eye(nu * nu) - np.kron(A.conj(), A)
+    w = np.linalg.solve(K, RHS.reshape(-1, order="F"))
+    W = w.reshape((nu, nu), order="F")
+    return (W + W.conj().T) / 2.0
+
+
 def block_flip(k, rho):
     """Dense k*rho x k*rho block anti-identity."""
     return np.kron(np.eye(k)[::-1], np.eye(rho))

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ def test_family_reverse_roundtrip(tmp_path, wide_file):
     twice = tmp_path / "r2.json"
     assert main(["family", "reverse", wide_file, "-o", str(once)]) == 0
     assert main(["family", "reverse", str(once), "-o", str(twice)]) == 0
-    assert open(wide_file, "rb").read() == twice.read_bytes()
+    assert Path(wide_file).read_bytes() == twice.read_bytes()
 
 
 def test_family_needs_second_file(wide_file, capsys):
@@ -226,3 +227,40 @@ def test_optimize_cli(capsys):
                  "--budget", "200"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["value"] < 1e-6
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8])
+def test_realize_large_norm_nonmember(tmp_path, capsys, scale):
+    # the Stein residual grows with |B|^2; its bound scales with |BB*|
+    rng = np.random.default_rng(0)
+    C = scale * (rng.normal(size=(4, 3, 2)) + 1j * rng.normal(size=(4, 3, 2)))
+    path = tmp_path / "big.json"
+    save_poly(LaurentPoly(1, C), path)
+    assert main(["realize", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"] == "neither"
+
+
+def test_realize_member_nu_128(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    save_poly(random_member(2, 2, 128, seed=1), path)
+    assert main(["realize", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["nu"] == 128 and data["classification"] == "both"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_tol_option_refused(wide_file, capsys, value):
+    for command in ("check", "realize"):
+        assert main([command, wide_file, "--tol", value]) == 2
+        assert "--tol must be a finite number > 0" in capsys.readouterr().err
+    assert main(["verify-examples", "--tol", value]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
+def test_tol_env_refused(wide_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("PUFIR_TOL", value)
+    for argv in (["check", wide_file], ["realize", wide_file],
+                 ["verify-examples"]):
+        assert main(argv) == 2
+        assert "PUFIR_TOL must be a finite number > 0" in \
+            capsys.readouterr().err

@@ -4,17 +4,18 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from pufir import families
-from pufir.blaschke import decode_angles, random_params, synth
+from pufir.blaschke import decode_angles, random_member, random_params, synth
 from pufir.hankel import (hankel_anticausal, hankel_causal,
                           is_paraunitary_hankel)
 from pufir.io import dumps_poly, loads_poly
 from pufir.laurent import LaurentPoly
+from pufir.realization import Realization, gramians, minimal_realization
 
 from conftest import (add_blocks, assert_same_poly, compose_blocks,
                       factor_chain, full_gram_residual, grouped_blocks,
-                      interleave_blocks, lag_sum_residual, max_coeff_diff,
-                      placed_blocks, random_poly, reblock_blocks,
-                      sampled_defect, split_terms)
+                      interleave_blocks, kron_stein, lag_sum_residual,
+                      max_coeff_diff, placed_blocks, random_poly,
+                      reblock_blocks, sampled_defect, split_terms)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -194,3 +195,33 @@ def test_conjugate_involution_exact(F):
     G = F.conjugate().conjugate()
     assert G.q == F.q
     assert G.coeffs.tobytes() == F.coeffs.tobytes()
+
+
+def assert_gramians_match_kron_stein(R):
+    """Both Gramians within 1e-12 of the oracle, relative to max(1, |W|)."""
+    pair = gramians(R)
+    for W, A, RHS in ((pair.W_cont, R.A, R.B @ R.B.conj().T),
+                      (pair.W_obs, R.A.conj().T, R.C.conj().T @ R.C)):
+        err = np.max(np.abs(W - kron_stein(A, RHS)), initial=0.0)
+        assert err <= 1e-12 * max(1.0, np.max(np.abs(W), initial=0.0))
+
+
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
+       st.floats(0.0, 0.9), st.booleans(), seeds)
+def test_gramians_match_kron_stein(nu, p, m, radius, complex_entries, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(rows, cols):
+        X = rng.normal(size=(rows, cols))
+        return X + 1j * rng.normal(size=(rows, cols)) if complex_entries else X
+
+    A = draw(nu, nu)
+    A *= radius / np.max(np.abs(np.linalg.eigvals(A)))
+    assert_gramians_match_kron_stein(
+        Realization(A, draw(nu, m), draw(p, nu), np.zeros((p, m))))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 8), seeds)
+def test_member_gramians_match_kron_stein(p, m, d, seed):
+    R = minimal_realization(random_member(p, m, d, seed=seed))
+    assert_gramians_match_kron_stein(R)

@@ -5,10 +5,10 @@ from pufir.blaschke import random_member
 from pufir.examples import square_example, wide_example
 from pufir.hankel import hankel_pair, mcmillan_degree
 from pufir.laurent import LaurentPoly
-from pufir.realization import (Realization, check_unitary_realization,
-                               gramian_normalize, gramians,
-                               minimal_realization, naive_realization,
-                               transfer)
+from pufir.realization import (Realization, _psd_sqrt,
+                               check_unitary_realization, gramian_normalize,
+                               gramians, minimal_realization,
+                               naive_realization, transfer)
 
 from conftest import circle_points
 
@@ -127,6 +127,14 @@ def test_gramians_stein_residual(rng):
                          - C.conj().T @ C)) < 1e-12
 
 
+def test_gramians_nan_rejected():
+    # a NaN residual must fail the Stein check, not slip past a ">" test
+    R = Realization(np.zeros((1, 1)), np.full((1, 1), np.nan),
+                    np.ones((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(RuntimeError, match="Stein"):
+        gramians(R)
+
+
 def test_gramians_unstable_rejected():
     R = Realization(np.eye(1) * 1.5, np.ones((1, 1)),
                     np.ones((1, 1)), np.zeros((1, 1)))
@@ -198,3 +206,26 @@ def test_gramian_normalize_trivial():
     R = Realization(np.zeros((0, 0)), np.zeros((0, 2)),
                     np.zeros((2, 0)), np.eye(2))
     assert gramian_normalize(R) is R
+
+
+@pytest.mark.parametrize("p, m", [(5, 4), (4, 5)])
+def test_minimal_realization_is_balanced(p, m):
+    # both Gramians of the balanced factorization are diag(sigma)
+    F = random_member(p, m, 64, seed=0)
+    R = minimal_realization(F)
+    assert R.nu == 64
+    S = np.diag(hankel_pair(F).H.singular_values()[:R.nu])
+    pair = gramians(R)
+    assert np.max(np.abs(pair.W_cont - S)) < 1e-12
+    assert np.max(np.abs(pair.W_obs - S)) < 1e-12
+
+
+def test_psd_sqrt_roots(rng):
+    X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    W = X @ X.conj().T + 0.1 * np.eye(6)
+    T, Tinv = _psd_sqrt(W)
+    assert np.max(np.abs(T @ Tinv - np.eye(6))) < 1e-12
+    assert np.max(np.abs(T @ T - W)) < 1e-12
+    assert np.max(np.abs(T - T.conj().T)) < 1e-12
+    with pytest.raises(ValueError, match="singular"):
+        _psd_sqrt(np.diag([1.0, 0.0]))
