@@ -6,15 +6,14 @@ from .hankel import (BlockHankel, DefectReport, HankelPair,
                      ParaunitaryResult, defect_structure, flat_B,
                      hankel_anticausal, hankel_causal, hankel_pair,
                      is_paraunitary_hankel, mcmillan_degree, numerical_rank,
-                     stack_B, toeplitz_gram_equiv)
+                     stack_B)
 from .realization import (GramianPair, Realization,
                           check_unitary_realization, gramian_normalize,
                           gramians, minimal_realization, naive_realization,
                           transfer)
-from .blaschke import (AngleParams, BPFactor, BPProduct, chart_size,
-                       decode_angles, design_optimize, factor_eval,
-                       factor_inverse, param_count, random_member,
-                       random_params, synth, synth_all_forms)
+from .blaschke import (AngleParams, BPProduct, chart_size, decode_angles,
+                       design_optimize, param_count, random_member,
+                       random_params, synth)
 from .families import (compose_diag, compose_mix_cols, compose_mix_rows,
                        dilate, exponent_map, hankel_abr, interleave_coeffs,
                        product_via_hankel, reblock, rect_stack, rect_widen,

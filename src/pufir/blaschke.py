@@ -1,9 +1,9 @@
-"""Blaschke-Potapov factors, products and FIR synthesis.
+"""FIR Blaschke-Potapov products and their synthesis.
 
-Degree-one unitary-on-circle factors I + (b(z)-1)vv*, their finite products
-with a constant (co)isometry, expansion into Laurent-polynomial
-coefficients, the real-angle chart over the product set and a
-derivative-free design optimizer on that chart.
+Finite products of the degree-one factors I + (z-1)vv* (anti-causal) and
+I + (1/z-1)vv* (causal) with a constant (co)isometry, expansion into
+Laurent-polynomial coefficients, the real-angle chart over the product set
+and a derivative-free design optimizer on that chart.
 """
 from __future__ import annotations
 
@@ -15,97 +15,26 @@ import numpy as np
 from .laurent import LaurentPoly
 
 __all__ = [
-    "BPFactor", "BPProduct", "AngleParams",
-    "factor_eval", "factor_inverse",
-    "synth", "synth_all_forms",
+    "BPProduct", "AngleParams", "synth",
     "param_count", "chart_size", "decode_angles",
     "random_params", "random_member", "design_optimize",
 ]
 
 _UNIT_TOL = 1e-12
-_CIRCLE_MARGIN = 1e-8
-
-
-def _is_inf(alpha):
-    return alpha is None or (isinstance(alpha, (int, float)) and
-                             math.isinf(alpha)) or \
-        (isinstance(alpha, complex) and (math.isinf(alpha.real) or
-                                         math.isinf(alpha.imag)))
-
-
-@dataclass(frozen=True)
-class BPFactor:
-    """Elementary factor I + (b(z) - 1) vv* with unit v.
-
-    b(z) = (1 - alpha* z)/(z - alpha); alpha = inf means b(z) = z.  With
-    `inverted` set, b is replaced by its reciprocal (z - alpha)/(1 - alpha* z),
-    which is the pointwise inverse factor.
-    """
-
-    alpha: object
-    v: np.ndarray
-    inverted: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex).reshape(-1)
-        object.__setattr__(self, "v", v)
-        if abs(v.conj() @ v - 1.0) > _UNIT_TOL:
-            raise ValueError("v must be a unit vector")
-        if not _is_inf(self.alpha):
-            a = complex(self.alpha)
-            if abs(abs(a) - 1.0) < _CIRCLE_MARGIN:
-                raise ValueError("alpha must stay away from the unit circle")
-            object.__setattr__(self, "alpha", a)
-
-    @property
-    def k(self):
-        return self.v.size
-
-
-def _mobius(f, z):
-    z = complex(z)
-    if _is_inf(f.alpha):
-        if f.inverted:
-            if z == 0:
-                raise ZeroDivisionError("pole of the factor at z=0")
-            return 1.0 / z
-        return z
-    a = f.alpha
-    if f.inverted:
-        den = 1.0 - np.conj(a) * z
-        if den == 0:
-            raise ZeroDivisionError("evaluation at the factor pole 1/alpha*")
-        return (z - a) / den
-    if z == a:
-        raise ZeroDivisionError("evaluation at the factor pole alpha")
-    return (1.0 - np.conj(a) * z) / (z - a)
-
-
-def factor_eval(f, z):
-    """Evaluate the factor; unitary for |z| = 1."""
-    b = _mobius(f, z)
-    P = np.outer(f.v, f.v.conj())
-    return np.eye(f.k) + (b - 1.0) * P
-
-
-def factor_inverse(f):
-    """Pointwise inverse factor: same v, reciprocal Moebius term."""
-    return BPFactor(f.alpha, f.v, not f.inverted)
 
 
 def _check_core_unitary(U, side):
-    if side == "iso":
-        return float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
-    return float(np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))))
+    gram = U.conj().T @ U if side == "iso" else U @ U.conj().T
+    return float(np.abs(gram - np.eye(len(gram))).max())
 
 
 @dataclass(frozen=True)
 class BPProduct:
     """FIR Blaschke-Potapov product.
 
-    The first gamma factors carry alpha = inf (anti-causal, z - 1 terms),
-    the rest alpha = 0 (causal, 1/z - 1 terms).  The constant (co)isometry
-    U multiplies on the right (iso) or on the left (coiso).
+    The first gamma factors are anti-causal, I + (z - 1)vv*, the rest
+    causal, I + (1/z - 1)vv*.  The constant (co)isometry U multiplies on
+    the right (iso) or on the left (coiso).
     """
 
     side: str
@@ -114,25 +43,23 @@ class BPProduct:
     U: np.ndarray
 
     def __post_init__(self):
-        if self.side not in ("iso", "coiso"):
-            raise ValueError(f"unknown side {self.side!r}")
         U = np.asarray(self.U, dtype=complex)
-        object.__setattr__(self, "U", U)
-        p, m = U.shape
-        if self.side == "iso" and p < m:
-            raise ValueError("iso side needs p >= m")
-        if self.side == "coiso" and m < p:
-            raise ValueError("coiso side needs m >= p")
-        if _check_core_unitary(U, self.side) > _UNIT_TOL:
-            raise ValueError("U fails the (co)isometry invariant")
-        k = p if self.side == "iso" else m
         vs = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in self.vs)
-        for v in vs:
-            if v.size != k:
-                raise ValueError(f"factor vectors must live in C^{k}")
-            if abs(v.conj() @ v - 1.0) > _UNIT_TOL:
-                raise ValueError("factor vectors must be unit vectors")
+        object.__setattr__(self, "U", U)
         object.__setattr__(self, "vs", vs)
+        if U.ndim != 2:
+            raise ValueError(f"U must be a matrix, got shape {U.shape}")
+        k = _chart_k(self.side, *U.shape, len(vs))
+        if any(v.size != k for v in vs):
+            raise ValueError(f"factor vectors must live in C^{k}")
+        if not np.isfinite(U).all():
+            raise ValueError("U must be finite (no NaN or Inf)")
+        if not _check_core_unitary(U, self.side) <= _UNIT_TOL:
+            raise ValueError("U fails the (co)isometry invariant")
+        # vdot is no ufunc: a NaN or Inf entry gives a non-finite norm and
+        # no floating-point warning
+        if not all(abs(np.vdot(v, v) - 1.0) <= _UNIT_TOL for v in vs):
+            raise ValueError("factor vectors must be unit vectors")
         if not 0 <= self.gamma <= len(vs):
             raise ValueError("gamma must lie in [0, d]")
 
@@ -151,11 +78,6 @@ class BPProduct:
     @property
     def k(self):
         return self.p if self.side == "iso" else self.m
-
-    def factors(self):
-        """The d elementary factors with their FIR alphas."""
-        return [BPFactor(math.inf if j < self.gamma else 0.0, v)
-                for j, v in enumerate(self.vs)]
 
 
 def synth(prod):
@@ -190,58 +112,6 @@ def synth(prod):
             G -= step
     coeffs = G @ prod.U if prod.side == "iso" else prod.U @ G
     return LaurentPoly(g + 1, coeffs)
-
-
-def synth_all_forms(prod):
-    """Evaluation closures for the three equivalent product forms.
-
-    The second and third forms re-express one sub-product through factor
-    inverses (evaluated via an explicit matrix inverse); all three agree
-    pointwise off the poles.
-    """
-    g, d, k = prod.gamma, prod.d, prod.k
-    anti = [BPFactor(math.inf, v) for v in prod.vs]
-    causal = [BPFactor(0.0, v) for v in prod.vs]
-    U = prod.U
-
-    def chain(factors, z):
-        out = np.eye(k)
-        for f in factors:
-            out = out @ factor_eval(f, z)
-        return out
-
-    if prod.side == "iso":
-        # anti factors, then causal factors, then U on the right
-        def core1(z):
-            return chain(anti[:g], z) @ chain(causal[g:], z)
-
-        def core2(z):
-            inv = np.linalg.inv(chain(anti[g:][::-1], z))
-            return chain(anti[:g], z) @ inv
-
-        def core3(z):
-            inv = np.linalg.inv(chain(causal[:g][::-1], z))
-            return inv @ chain(causal[g:], z)
-
-        def wrap(core):
-            return lambda z: core(z) @ U
-    else:
-        # U on the left, then causal factors, then anti factors
-        def core1(z):
-            return chain(causal[g:], z) @ chain(anti[:g], z)
-
-        def core2(z):
-            inv = np.linalg.inv(chain(anti[g:][::-1], z))
-            return inv @ chain(anti[:g], z)
-
-        def core3(z):
-            inv = np.linalg.inv(chain(causal[:g][::-1], z))
-            return chain(causal[g:], z) @ inv
-
-        def wrap(core):
-            return lambda z: U @ core(z)
-
-    return wrap(core1), wrap(core2), wrap(core3)
 
 
 def _chart_k(side, p, m, d):
@@ -360,23 +230,25 @@ def random_member(p, m, d, gamma=0, seed=None, side=None):
 
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+# random restarts after the start at the chart origin, samples of the
+# coarse scan over one period, golden-section steps per coordinate
+_RESTARTS, _COARSE, _REFINE = 3, 8, 16
 
 
-def design_optimize(objective, p, m, d, gamma=0, budget=5000, side=None,
-                    seed=0, restarts=3, coarse=8, refine=16):
+def design_optimize(objective, p, m, d, gamma=0, budget=5000, seed=0):
     """Derivative-free design over the angle chart.
 
     Coordinate descent with a coarse periodic scan followed by a
     golden-section refinement on each coordinate, restarted from seeded
-    random chart points.  `budget` counts objective evaluations; every
-    candidate decodes to a member of the class by construction.
+    random chart points.  The side is iso when p >= m, else coiso.
+    `budget` counts objective evaluations; every candidate decodes to a
+    member of the class by construction.
 
     Returns (best AngleParams, best LaurentPoly, best value).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if side is None:
-        side = "iso" if p >= m else "coiso"
+    side = "iso" if p >= m else "coiso"
     size = chart_size(side, p, m, d)
     rng = np.random.default_rng(seed)
     state = {"evals": 0, "best": None}
@@ -396,9 +268,9 @@ def design_optimize(objective, p, m, d, gamma=0, budget=5000, side=None,
         # coarse scan of the full period, then golden-section around the
         # best sample
         base = angles[i]
-        step = 2.0 * np.pi / coarse
+        step = 2.0 * np.pi / _COARSE
         vals = [(fcur, base)]
-        for t in range(1, coarse):
+        for t in range(1, _COARSE):
             cand = angles.copy()
             cand[i] = base + t * step
             vals.append((f(cand), cand[i]))
@@ -412,7 +284,7 @@ def design_optimize(objective, p, m, d, gamma=0, budget=5000, side=None,
         c2 = angles.copy()
         c2[i] = x2
         f2 = f(c2)
-        for _ in range(refine):
+        for _ in range(_REFINE):
             if f1 <= f2:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - _GOLD * (b - a)
@@ -430,7 +302,7 @@ def design_optimize(objective, p, m, d, gamma=0, budget=5000, side=None,
         pass
 
     try:
-        for r in range(restarts + 1):
+        for r in range(_RESTARTS + 1):
             angles = (np.zeros(size) if r == 0
                       else rng.uniform(0.0, 2.0 * np.pi, size))
             fcur = f(angles)

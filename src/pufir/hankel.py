@@ -19,7 +19,7 @@ __all__ = [
     "stack_B", "flat_B",
     "hankel_causal", "hankel_anticausal", "hankel_pair",
     "numerical_rank", "mcmillan_degree",
-    "is_paraunitary_hankel", "defect_structure", "toeplitz_gram_equiv",
+    "is_paraunitary_hankel", "defect_structure",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
@@ -230,19 +230,3 @@ def defect_structure(F, tol=DEFAULT_TOL):
                       np.all(np.minimum(np.abs(eigs), np.abs(eigs - 1)) <= tol))
     return DefectReport(role, zero_ok, coupling <= tol, delta, eigs,
                         psd, contraction, projection)
-
-
-def toeplitz_gram_equiv(F):
-    """Residual of the Hankel-vs-triangular-Toeplitz Gram identity.
-
-    Flipping the block rows (columns) of H_0 produces a block-triangular
-    Toeplitz matrix with the same Gram products, so the residual is pure
-    rounding noise.
-    """
-    A = _normalized_h0(F)
-    n, p, m = F.n, F.p, F.m
-    left = A.reshape(n, p, n * m)[::-1].reshape(n * p, n * m)
-    right = A.reshape(n * p, n, m)[:, ::-1].reshape(n * p, n * m)
-    r1 = float(np.max(np.abs(A.conj().T @ A - left.conj().T @ left)))
-    r2 = float(np.max(np.abs(A @ A.conj().T - right @ right.conj().T)))
-    return max(r1, r2)

@@ -31,16 +31,24 @@ def poly_to_dict(F):
             "coeffs": complex_pairs(F.coeffs)}
 
 
+def _int_field(data, key):
+    """A JSON integer; floats, strings and booleans are refused."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def poly_from_dict(data):
     try:
-        q = int(data["q"])
+        q = _int_field(data, "q")
         coeffs = [np.array([[complex(re, im) for re, im in row]
                             for row in B]) for B in data["coeffs"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed polynomial data: {exc}") from exc
     F = LaurentPoly(q, coeffs)
     for key, val in (("p", F.p), ("m", F.m), ("n", F.n)):
-        if key in data and int(data[key]) != val:
+        if key in data and _int_field(data, key) != val:
             raise ValueError(f"inconsistent field {key!r} in polynomial file")
     return F
 
@@ -77,10 +85,15 @@ def angles_to_dict(params):
 
 def angles_from_dict(data):
     try:
-        return AngleParams(data["side"], int(data["p"]), int(data["m"]),
-                           int(data["d"]), int(data["gamma"]),
-                           np.array(data["angles"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+        p, m, d, gamma = (_int_field(data, key)
+                          for key in ("p", "m", "d", "gamma"))
+        angles = data["angles"]
+        if not (isinstance(angles, list) and
+                all(type(a) in (int, float) for a in angles)):
+            raise ValueError("field 'angles' must be a list of numbers")
+        return AngleParams(data["side"], p, m, d, gamma,
+                           np.array(angles, dtype=float))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed angle data: {exc}") from exc
 
 

@@ -63,6 +63,58 @@ def factor_chain(prod):
     return out
 
 
+def product_forms(prod):
+    """Evaluators of the three equivalent forms of the BP product.
+
+    At a point z a factor is I + (b-1)vv*, with b = z for the first gamma
+    (anti-causal) factors and b = 1/z for the rest.  Form 1 multiplies the
+    factors as they are.  Form 2 writes the causal part as the inverse of
+    the reversed chain of anti-causal factors on the same vectors, form 3
+    the anti-causal part as the inverse of the reversed causal chain; both
+    take an explicit matrix inverse.
+    """
+    g, k, U, vs = prod.gamma, prod.k, prod.U, prod.vs
+
+    def chain(vectors, b):
+        out = np.eye(k, dtype=complex)
+        for v in vectors:
+            out = out @ (np.eye(k) + (b - 1.0) * np.outer(v, v.conj()))
+        return out
+
+    def anti(z, form):
+        if form == 3:
+            return np.linalg.inv(chain(vs[:g][::-1], 1.0 / z))
+        return chain(vs[:g], z)
+
+    def causal(z, form):
+        if form == 2:
+            return np.linalg.inv(chain(vs[g:][::-1], z))
+        return chain(vs[g:], 1.0 / z)
+
+    def evaluator(form):
+        if prod.side == "iso":
+            return lambda z: anti(z, form) @ causal(z, form) @ U
+        return lambda z: U @ causal(z, form) @ anti(z, form)
+
+    return tuple(evaluator(form) for form in (1, 2, 3))
+
+
+def toeplitz_gram_equiv(F):
+    """Residual of the Hankel-vs-triangular-Toeplitz Gram identity.
+
+    Flipping the block rows (columns) of H_0 produces a block-triangular
+    Toeplitz matrix with the same Gram products, so the residual is pure
+    rounding noise.
+    """
+    A = hankel_causal(F.shift(-F.q), 0).data
+    n, p, m = F.n, F.p, F.m
+    left = A.reshape(n, p, n * m)[::-1].reshape(n * p, n * m)
+    right = A.reshape(n * p, n, m)[:, ::-1].reshape(n * p, n * m)
+    r1 = float(np.max(np.abs(A.conj().T @ A - left.conj().T @ left)))
+    r2 = float(np.max(np.abs(A @ A.conj().T - right @ right.conj().T)))
+    return max(r1, r2)
+
+
 def lag_sum_residual(F):
     """max_k |sum_j B_{k+j}*B_j - delta_k I| (B_{k+j}B_j* for wide F)."""
     F0 = F.shift(-F.q)

@@ -8,21 +8,20 @@ import time
 import numpy as np
 
 from pufir.blaschke import (BPProduct, decode_angles, design_optimize,
-                            param_count, random_member, random_params, synth,
-                            synth_all_forms)
+                            param_count, random_member, random_params, synth)
 from pufir.examples import reblock_instance, square_example, wide_example
 from pufir.families import (compose_diag, compose_mix_cols,
                             compose_mix_rows, dilate, product_via_hankel,
                             reblock, rect_stack, rect_widen, reverse_poly)
 from pufir.hankel import (defect_structure, hankel_pair,
-                          is_paraunitary_hankel, mcmillan_degree,
-                          toeplitz_gram_equiv)
+                          is_paraunitary_hankel, mcmillan_degree)
 from pufir.laurent import LaurentPoly
 from pufir.realization import (gramian_normalize, gramians,
                                minimal_realization)
 
 from conftest import (circle_points, factor_chain, max_coeff_diff,
-                      random_poly, random_unit)
+                      product_forms, random_poly, random_unit,
+                      toeplitz_gram_equiv)
 
 
 def report(num, ok, detail):
@@ -79,10 +78,10 @@ def test_criterion_3_synthesis_soundness():
         worst_defect = max(worst_defect, F.unitary_defect())
         res = is_paraunitary_hankel(F)
         all_member = all_member and res.member
-        f1, f2, f3 = synth_all_forms(prod)
+        forms = product_forms(prod)
         for z in pts:
             E = F.eval(z)
-            for f in (f1, f2, f3):
+            for f in forms:
                 worst_forms = max(worst_forms,
                                   float(np.max(np.abs(f(z) - E))))
     elapsed = time.perf_counter() - t0

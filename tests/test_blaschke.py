@@ -1,56 +1,50 @@
-import math
+import re
 
 import numpy as np
 import pytest
 
-from pufir.blaschke import (AngleParams, BPFactor, BPProduct, chart_size,
-                            decode_angles, design_optimize, factor_eval,
-                            factor_inverse, param_count, random_member,
-                            random_params, synth, synth_all_forms)
+from pufir.blaschke import (AngleParams, BPProduct, chart_size,
+                            decode_angles, design_optimize, param_count,
+                            random_member, random_params, synth)
 from pufir.hankel import is_paraunitary_hankel, mcmillan_degree
 
-from conftest import circle_points, factor_chain, max_coeff_diff, random_unit
+from conftest import (circle_points, factor_chain, max_coeff_diff,
+                      product_forms, random_unit)
+
+NAN, INF = float("nan"), float("inf")
+E1 = np.array([1.0, 0.0])
 
 
-def test_factor_eval_basic():
-    f = BPFactor(0.0, np.array([1.0, 0.0]))
-    for z in (0.5, 2.0 + 1j, -1.0):
-        assert np.allclose(factor_eval(f, z), np.diag([1.0 / z, 1.0]))
-
-
-def test_factor_eval_unitary_on_circle():
-    v = np.array([1.0, 1.0]) / math.sqrt(2)
-    f = BPFactor(math.inf, v)
-    for z in circle_points(16):
-        M = factor_eval(f, z)
-        assert np.max(np.abs(M.conj().T @ M - np.eye(2))) < 1e-14
-
-
-def test_factor_inverse_product(rng):
-    for alpha in (0.0, 2.0, math.inf, 0.3 - 0.4j):
-        v = random_unit(rng, 3)
-        f = BPFactor(alpha, v)
-        g = factor_inverse(f)
-        for z in circle_points(8):
-            assert np.max(np.abs(factor_eval(f, z) @ factor_eval(g, z)
-                                 - np.eye(3))) < 1e-12
-        h = factor_inverse(g)
-        assert np.allclose(factor_eval(h, 0.7), factor_eval(f, 0.7))
-
-
-def test_factor_pole_errors():
-    f = BPFactor(2.0, np.array([1.0]))
-    with pytest.raises(ZeroDivisionError):
-        factor_eval(f, 2.0)
-    with pytest.raises(ZeroDivisionError):
-        factor_eval(factor_inverse(f), 0.5)
-
-
-def test_factor_invariants():
-    with pytest.raises(ValueError):
-        BPFactor(0.0, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        BPFactor(np.exp(0.3j), np.array([1.0]))
+@pytest.mark.parametrize("side, gamma, vs, U, message", [
+    pytest.param("both", 0, (), np.eye(2), "unknown side 'both'",
+                 id="side"),
+    pytest.param("iso", 0, (), np.eye(2)[:1], "iso side needs p >= m",
+                 id="iso-wide"),
+    pytest.param("coiso", 0, (), np.eye(2)[:, :1], "coiso side needs m >= p",
+                 id="coiso-tall"),
+    pytest.param("iso", 0, (), 2 * np.eye(2), "(co)isometry invariant",
+                 id="U-not-isometric"),
+    pytest.param("iso", 0, (), np.ones(2), "U must be a matrix",
+                 id="U-not-matrix"),
+    pytest.param("iso", 0, (), np.diag([NAN, 1.0]), "finite", id="U-nan"),
+    pytest.param("coiso", 0, (), np.diag([INF, 1.0]), "finite", id="U-inf"),
+    pytest.param("iso", 0, (np.ones(3) / np.sqrt(3),), np.eye(2), "C^2",
+                 id="vector-length"),
+    pytest.param("iso", 0, (np.ones(2),), np.eye(2), "unit vectors",
+                 id="vector-not-unit"),
+    pytest.param("iso", 0, (np.array([NAN, 0.0]),), np.eye(2),
+                 "unit vectors", id="vector-nan"),
+    pytest.param("coiso", 1, (np.array([INF, 0.0]),), np.eye(2),
+                 "unit vectors", id="vector-inf"),
+    pytest.param("iso", 0, (np.array([INF + 1j, 0.0]),), np.eye(2),
+                 "unit vectors", id="vector-inf-complex"),
+    pytest.param("iso", 2, (E1,), np.eye(2), "gamma must lie in", id="gamma>d"),
+    pytest.param("iso", -1, (E1,), np.eye(2), "gamma must lie in",
+                 id="gamma<0"),
+])
+def test_product_refusals(side, gamma, vs, U, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BPProduct(side, gamma, vs, U)
 
 
 def test_synth_constant():
@@ -90,10 +84,10 @@ def test_three_forms_agree(rng):
         gamma = int(rng.integers(0, 5))
         prod = decode_angles(random_params(p, m, 4, gamma, seed, side))
         F = synth(prod)
-        f1, f2, f3 = synth_all_forms(prod)
+        forms = product_forms(prod)
         for z in circle_points(16):
             E = F.eval(z)
-            for f in (f1, f2, f3):
+            for f in forms:
                 assert np.max(np.abs(f(z) - E)) < 1e-10
 
 

@@ -113,6 +113,15 @@ def test_shape_argument_exit(capsys, argv, message):
     ("p", 0, "p must be >= 1"),
     ("d", -2, "d must be >= 0"),
     ("m", 3, "iso side needs p >= m"),
+    ("gamma", 1.5, "field 'gamma' must be an integer"),
+    ("p", 2.9, "field 'p' must be an integer"),
+    ("d", True, "field 'd' must be an integer"),
+    ("m", "2", "field 'm' must be an integer"),
+    pytest.param("angles", [str(a) for a in range(17)],
+                 "field 'angles' must be a list of numbers", id="angles-str"),
+    pytest.param("angles", [[0.0]] * 17,
+                 "field 'angles' must be a list of numbers",
+                 id="angles-nested"),
 ])
 def test_bad_angle_file_exit(tmp_path, capsys, field, value, message):
     path = tmp_path / "angles.json"
@@ -123,6 +132,35 @@ def test_bad_angle_file_exit(tmp_path, capsys, field, value, message):
     assert main(["synth", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q", 0.99), ("q", "3"), ("q", True), ("p", 2.0), ("n", "3"),
+])
+def test_poly_integer_field_exit(tmp_path, capsys, field, value):
+    data = poly_to_dict(square_example(1))
+    data[field] = value
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(data))
+    assert main(["degree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"field {field!r}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["synth", "degree"])
+def test_number_beyond_float_exit(tmp_path, capsys, command):
+    path = tmp_path / "in.json"
+    if command == "synth":
+        save_angles(random_params(2, 2, 3, 1, 9), path)
+        data = json.loads(path.read_text())
+        data["angles"][0] = 10 ** 400
+    else:
+        data = poly_to_dict(square_example(1))
+        data["coeffs"][0][0][0][0] = 10 ** 400
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "too large" in captured.err
 
 
 def test_check_member_runs_membership_once(tmp_path, monkeypatch, capsys):

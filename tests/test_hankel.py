@@ -5,11 +5,10 @@ from pufir.blaschke import random_member
 from pufir.examples import square_example, wide_example
 from pufir.hankel import (defect_structure, hankel_anticausal,
                           hankel_causal, hankel_pair, is_paraunitary_hankel,
-                          mcmillan_degree, numerical_rank, stack_B,
-                          toeplitz_gram_equiv)
+                          mcmillan_degree, numerical_rank, stack_B)
 from pufir.laurent import LaurentPoly
 
-from conftest import random_poly
+from conftest import random_poly, toeplitz_gram_equiv
 
 
 def test_hankel_wide_example():
