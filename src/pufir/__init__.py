@@ -3,10 +3,9 @@ para-unitary FIR systems represented as matrix Laurent polynomials."""
 
 from .laurent import LaurentPoly, constant, delay, zero
 from .hankel import (BlockHankel, DefectReport, HankelPair,
-                     ParaunitaryResult, defect_structure, flat_B,
-                     hankel_anticausal, hankel_causal, hankel_pair,
-                     is_paraunitary_hankel, mcmillan_degree, numerical_rank,
-                     stack_B)
+                     ParaunitaryResult, defect_structure, hankel_anticausal,
+                     hankel_causal, hankel_pair, is_paraunitary_hankel,
+                     mcmillan_degree, numerical_rank, stack_B)
 from .realization import (GramianPair, Realization,
                           check_unitary_realization, gramian_normalize,
                           gramians, minimal_realization, naive_realization,

@@ -216,17 +216,17 @@ def decode_angles(params):
     return BPProduct(params.side, params.gamma, tuple(vs), U)
 
 
-def random_params(p, m, d, gamma=0, seed=None, side=None):
-    if side is None:
-        side = "iso" if p >= m else "coiso"
+def random_params(p, m, d, gamma=0, seed=None):
+    """Seeded uniform chart point; the side is iso when p >= m, else coiso."""
+    side = "iso" if p >= m else "coiso"
     rng = np.random.default_rng(seed)
     ang = rng.uniform(0.0, 2.0 * np.pi, chart_size(side, p, m, d))
     return AngleParams(side, p, m, d, gamma, ang)
 
 
-def random_member(p, m, d, gamma=0, seed=None, side=None):
+def random_member(p, m, d, gamma=0, seed=None):
     """Seeded random member of the para-unitary class."""
-    return synth(decode_angles(random_params(p, m, d, gamma, seed, side)))
+    return synth(decode_angles(random_params(p, m, d, gamma, seed)))
 
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0

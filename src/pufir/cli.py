@@ -270,7 +270,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

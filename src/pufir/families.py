@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .laurent import LaurentPoly
-from .hankel import BlockHankel, hankel_causal
+from .hankel import hankel_causal
 
 __all__ = [
     "reverse_poly", "reblock", "dilate", "exponent_map",
@@ -237,6 +237,4 @@ def interleave_coeffs(F, a, b, rho):
 
 def hankel_abr(F, a, b, rho):
     """The (a+b+1)n p x (a+b+1)n m interleaved Hankel H(a, b, rho)."""
-    seq = interleave_coeffs(F, a, b, rho)
-    H = hankel_causal(LaurentPoly(0, seq), 0)
-    return BlockHankel(F.p, F.m, len(seq), len(seq), H.data)
+    return hankel_causal(LaurentPoly(0, interleave_coeffs(F, a, b, rho)))

@@ -16,13 +16,12 @@ from .laurent import LaurentPoly
 
 __all__ = [
     "BlockHankel", "HankelPair", "DefectReport", "ParaunitaryResult",
-    "stack_B", "flat_B",
-    "hankel_causal", "hankel_anticausal", "hankel_pair",
+    "stack_B", "hankel_causal", "hankel_anticausal", "hankel_pair",
     "numerical_rank", "mcmillan_degree",
     "is_paraunitary_hankel", "defect_structure",
 ]
 
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-9
 _ABS_FLOOR = 1e-14
 
@@ -50,9 +49,6 @@ class BlockHankel:
             return np.zeros(0)
         return np.linalg.svd(self.data, compute_uv=False)
 
-    def rank(self, rank_tol=DEFAULT_RANK_TOL):
-        return numerical_rank(self.singular_values(), rank_tol)
-
 
 @dataclass(frozen=True)
 class HankelPair:
@@ -66,32 +62,23 @@ def _empty_hankel(p, m):
     return BlockHankel(p, m, 0, 0, np.zeros((0, 0), dtype=complex))
 
 
-def stack_B(F, eta=0):
-    """(n+eta)p x m block column: eta zero blocks over B_1 ... B_n."""
-    zeros = np.zeros((eta, F.p, F.m), dtype=complex)
+def stack_B(F):
+    """Block column of max(-q, 0) zero blocks over B_1 ... B_n."""
+    zeros = np.zeros((max(-F.q, 0), F.p, F.m), dtype=complex)
     return np.concatenate((zeros, F.coeffs)).reshape(-1, F.m)
 
 
-def flat_B(F):
-    """p x nm block row (B_1, ..., B_n)."""
-    return F.coeffs.transpose(1, 0, 2).reshape(F.p, -1)
+def hankel_causal(F):
+    """Hankel matrix of a strictly causal polynomial, padded by its delay.
 
-
-def hankel_causal(F, eta=None):
-    """Hankel matrix of a strictly causal polynomial with padding eta.
-
-    Block (i, j) equals B_{i+j+1-eta}; the first block row is the impulse
-    response.  Defaults eta to the delay -q.
+    Block (i, j) equals B_{i+j+1-eta} with eta = -q; the first block row
+    is the impulse response.  More padding is a further delay,
+    hankel_causal(F.shift(-k)).
     """
     if F.q > 0:
         raise ValueError("hankel_causal needs a strictly causal polynomial "
                          f"(q <= 0), got q={F.q}")
-    if eta is None:
-        eta = -F.q
-    eta = int(eta)
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    p, m, n = F.p, F.m, F.n
+    p, m, n, eta = F.p, F.m, F.n, -F.q
     size = n + eta
     # block (i, j) is seq[i + j]: eta zero blocks, B_1 ... B_n, zeros
     seq = np.zeros((2 * size - 1, p, m), dtype=complex)
@@ -101,57 +88,47 @@ def hankel_causal(F, eta=None):
     return BlockHankel(p, m, size, size, data.reshape(size * p, size * m))
 
 
-def hankel_anticausal(F, eta=None):
+def hankel_anticausal(F):
     """Hankel matrix of a strictly anti-causal polynomial, reversed order.
 
-    This is the causal Hankel of the reversed coefficients B_n ... B_1.
+    This is the causal Hankel of the reversed coefficients B_n ... B_1,
+    padded by q - n - 1.
     """
     if F.q < F.n + 1:
         raise ValueError("hankel_anticausal needs a strictly anti-causal "
                          f"polynomial (q >= n+1), got q={F.q}, n={F.n}")
-    if eta is None:
-        eta = F.q - F.n - 1
-    return hankel_causal(LaurentPoly(0, F.coeffs[::-1]), eta)
+    return hankel_causal(LaurentPoly(F.n + 1 - F.q, F.coeffs[::-1]))
 
 
 def hankel_pair(F):
-    """Hankel matrices of F_r and F_l for any shift regime.
+    """Hankel matrices of F_r and F_l of F = F_l + D + F_r.
 
-    Degenerate regimes (purely causal or purely anti-causal) return one
+    F_r exists iff q < n and F_l iff q >= 2; an absent part gives an
     empty 0x0 member.
     """
-    q, n = F.q, F.n
-    if q <= 0:
-        return HankelPair(hankel_causal(F), _empty_hankel(F.p, F.m))
-    if q >= n + 1:
-        return HankelPair(_empty_hankel(F.p, F.m), hankel_anticausal(F))
-    # genuine Laurent regime q in [1, n]: H from B_{q+1}..B_n, Hhat from
-    # B_{q-1}..B_1
-    tail = F.coeffs[q:]
-    head = F.coeffs[:q - 1][::-1]
-    H = (hankel_causal(LaurentPoly(0, tail), 0) if len(tail)
-         else _empty_hankel(F.p, F.m))
-    H_hat = (hankel_causal(LaurentPoly(0, head), 0) if len(head)
-             else _empty_hankel(F.p, F.m))
-    return HankelPair(H, H_hat)
+    left, _, right = F.split()
+    empty = _empty_hankel(F.p, F.m)
+    return HankelPair(hankel_causal(right) if F.q < F.n else empty,
+                      hankel_anticausal(left) if F.q >= 2 else empty)
 
 
-def numerical_rank(sigma, rank_tol=DEFAULT_RANK_TOL):
+def numerical_rank(sigma):
     """Rank by relative singular-value thresholding.
 
-    Counts sigma_k > rank_tol * sigma_1, with an absolute floor when the
+    Counts sigma_k > RANK_TOL * sigma_1, with an absolute floor when the
     leading singular value itself vanishes.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size == 0 or sigma[0] <= _ABS_FLOOR:
         return 0
-    return int(np.sum(sigma > rank_tol * sigma[0]))
+    return int(np.sum(sigma > RANK_TOL * sigma[0]))
 
 
-def mcmillan_degree(F, rank_tol=DEFAULT_RANK_TOL):
+def mcmillan_degree(F):
     """McMillan degree rank(H) + rank(H_hat) of the Hankel pair."""
     pair = hankel_pair(F)
-    return pair.H.rank(rank_tol) + pair.H_hat.rank(rank_tol)
+    return (numerical_rank(pair.H.singular_values())
+            + numerical_rank(pair.H_hat.singular_values()))
 
 
 @dataclass(frozen=True)
@@ -163,7 +140,7 @@ class ParaunitaryResult:
 
 def _normalized_h0(F):
     """H_0: the Hankel of the q = 0 normalization, without padding."""
-    return hankel_causal(F.shift(-F.q), 0).data
+    return hankel_causal(F.shift(-F.q)).data
 
 
 def is_paraunitary_hankel(F, tol=DEFAULT_TOL):

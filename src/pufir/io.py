@@ -39,10 +39,19 @@ def _int_field(data, key):
     return value
 
 
+def _numbers(values, key):
+    """A list of JSON numbers; booleans, strings and lists are refused."""
+    if not (isinstance(values, list)
+            and all(type(v) in (int, float) for v in values)):
+        raise ValueError(f"field {key!r} must be a list of numbers")
+    return values
+
+
 def poly_from_dict(data):
     try:
         q = _int_field(data, "q")
-        coeffs = [np.array([[complex(re, im) for re, im in row]
+        coeffs = [np.array([[complex(re, im) for re, im in
+                             (_numbers(pair, "coeffs") for pair in row)]
                             for row in B]) for B in data["coeffs"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed polynomial data: {exc}") from exc
@@ -87,10 +96,7 @@ def angles_from_dict(data):
     try:
         p, m, d, gamma = (_int_field(data, key)
                           for key in ("p", "m", "d", "gamma"))
-        angles = data["angles"]
-        if not (isinstance(angles, list) and
-                all(type(a) in (int, float) for a in angles)):
-            raise ValueError("field 'angles' must be a list of numbers")
+        angles = _numbers(data["angles"], "angles")
         return AngleParams(data["side"], p, m, d, gamma,
                            np.array(angles, dtype=float))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

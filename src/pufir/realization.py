@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laurent import LaurentPoly
-from .hankel import (DEFAULT_RANK_TOL, DEFAULT_TOL, hankel_causal,
-                     numerical_rank, stack_B)
+from .hankel import (DEFAULT_TOL, RANK_TOL, hankel_causal, numerical_rank,
+                     stack_B)
 
 __all__ = [
     "Realization", "GramianPair",
@@ -50,14 +49,11 @@ class Realization:
 
 
 def _split_causal(F):
-    """Normalize a causal polynomial: return (D, strictly causal tail q=0)."""
+    """(D, F_r) of a causal polynomial; F_r is None when F is constant."""
     if F.q > 1:
         raise ValueError(f"polynomial is not causal (q={F.q} > 1)")
-    D = F.coefficient(0).copy()
-    # q = 1 drops the z^0 term; q <= 0 pads -q leading zeros to reach q = 0
-    pad = np.zeros((max(-F.q, 0), F.p, F.m), dtype=complex)
-    tail = np.concatenate((pad, F.coeffs[max(F.q, 0):]))
-    return D, (LaurentPoly(0, tail) if len(tail) else None)
+    _, D, right = F.split()
+    return D, (right if F.q < F.n else None)
 
 
 def _static(D):
@@ -77,13 +73,13 @@ def naive_realization(F):
     D, tail = _split_causal(F)
     if tail is None:
         return _static(D)
-    n, p = tail.n, F.p
-    A = np.eye(n * p, k=p, dtype=complex)
-    C = np.eye(p, n * p, dtype=complex)
-    return Realization(A, stack_B(tail, 0), C, D)
+    B = stack_B(tail)
+    A = np.eye(len(B), k=F.p, dtype=complex)
+    C = np.eye(F.p, len(B), dtype=complex)
+    return Realization(A, B, C, D)
 
 
-def minimal_realization(F, rank_tol=DEFAULT_RANK_TOL):
+def minimal_realization(F):
     """Minimal realization via balanced square-root Hankel factorization.
 
     SVD the block Hankel of the Markov parameters, split H = O * Ctr with
@@ -96,11 +92,11 @@ def minimal_realization(F, rank_tol=DEFAULT_RANK_TOL):
     if tail is None or not tail.coeffs.any():
         return _static(D)
     p, m = F.p, F.m
-    H = hankel_causal(tail, 0).data
+    H = hankel_causal(tail).data
     U, sigma, Vh = np.linalg.svd(H)
-    r = numerical_rank(sigma, rank_tol)
+    r = numerical_rank(sigma)
     ambiguous = bool(any(
-        rank_tol / 10 <= s / sigma[0] <= rank_tol * 10 for s in sigma))
+        RANK_TOL / 10 <= s / sigma[0] <= RANK_TOL * 10 for s in sigma))
     sr = np.sqrt(sigma[:r])
     # the row-shifted Hankel is H[p:] above a zero block row, so only the
     # first len(H) - p rows of U meet it
@@ -185,22 +181,17 @@ def _psd_sqrt(W):
     return (evecs * root) @ evecs.conj().T, (evecs / root) @ evecs.conj().T
 
 
-def gramian_normalize(R, mode=None, tol=DEFAULT_TOL):
+def gramian_normalize(R, tol=DEFAULT_TOL):
     """State transformation bringing one Gramian to the identity.
 
-    mode="iso" uses T = W_obs^{1/2} so the new observability Gramian is I;
-    mode="coiso" uses T = W_cont^{-1/2} so the new controllability Gramian
-    is I.  Defaults to iso for p >= m and coiso otherwise.  The transfer
-    function is unchanged.
+    For p >= m, T = W_obs^{1/2} makes the new observability Gramian I;
+    otherwise T = W_cont^{-1/2} makes the new controllability Gramian I.
+    The transfer function is unchanged.
     """
-    if mode is None:
-        mode = "iso" if R.p >= R.m else "coiso"
-    if mode not in ("iso", "coiso"):
-        raise ValueError(f"unknown mode {mode!r}")
     if R.nu == 0:
         return R
     pair = gramians(R, tol)
-    if mode == "iso":
+    if R.p >= R.m:
         T, Tinv = _psd_sqrt(pair.W_obs)
     else:
         Tinv, T = _psd_sqrt(pair.W_cont)

@@ -48,7 +48,7 @@ def verify_examples(tol=1e-9):
     check = is_paraunitary_hankel(Fw)
     add("wide membership", check.member,
         f"residual={check.residual:.2e} role={check.role}")
-    Rw = gramian_normalize(minimal_realization(Fw), "coiso")
+    Rw = gramian_normalize(minimal_realization(Fw))
     label, _, res = check_unitary_realization(Rw)
     Mw = Rw.R
     target = np.eye(3)
@@ -59,7 +59,7 @@ def verify_examples(tol=1e-9):
     add("wide W_obs q=0 = diag(1, 16/25)",
         _close(wobs, np.diag([1.0, 16.0 / 25.0]), 1e-10),
         f"W_obs={np.real_if_close(np.diag(wobs))}")
-    Rw1 = gramian_normalize(minimal_realization(wide_example(1)), "coiso")
+    Rw1 = gramian_normalize(minimal_realization(wide_example(1)))
     wobs1 = gramians(Rw1).W_obs
     add("wide W_obs q=1 = 16/25",
         wobs1.shape == (1, 1) and _close(wobs1, [[16.0 / 25.0]], 1e-10),

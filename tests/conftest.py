@@ -106,7 +106,7 @@ def toeplitz_gram_equiv(F):
     Toeplitz matrix with the same Gram products, so the residual is pure
     rounding noise.
     """
-    A = hankel_causal(F.shift(-F.q), 0).data
+    A = hankel_causal(F.shift(-F.q)).data
     n, p, m = F.n, F.p, F.m
     left = A.reshape(n, p, n * m)[::-1].reshape(n * p, n * m)
     right = A.reshape(n * p, n, m)[:, ::-1].reshape(n * p, n * m)
@@ -131,7 +131,7 @@ def lag_sum_residual(F):
 
 def full_gram_residual(F):
     """First block column of the full Gram I - H_0*H_0 (or I - H_0H_0*)."""
-    A = hankel_causal(F.shift(-F.q), 0).data
+    A = hankel_causal(F.shift(-F.q)).data
     if F.p >= F.m:
         G = np.eye(F.n * F.m) - A.conj().T @ A
         return float(np.max(np.abs(G[:, :F.m])))
@@ -191,6 +191,18 @@ def split_terms(F):
     return (from_terms([t for t in terms if t[0] > 0]),
             F.coefficient(0),
             from_terms([t for t in terms if t[0] < 0]))
+
+
+def hankel_blocks(F, sign, size):
+    """Block (i, j) = coefficient of z^(sign (i+j+1)), size x size blocks.
+
+    sign -1 gives the Hankel of the strictly causal part, +1 the reversed
+    Hankel of the strictly anti-causal part; size 0 gives 0x0.
+    """
+    if size <= 0:
+        return np.zeros((0, 0), dtype=complex)
+    return np.block([[F.coefficient(sign * (i + j + 1)) for j in range(size)]
+                     for i in range(size)])
 
 
 def sampled_defect(F):

@@ -47,12 +47,12 @@ def test_criterion_2_wide_example():
     t0 = time.perf_counter()
     sv = hankel_pair(wide_example(0)).H.singular_values()
     sv_err = float(np.max(np.abs(sv - np.array([1.0, 0.8]))))
-    R = gramian_normalize(minimal_realization(wide_example(0)), "coiso").R
+    R = gramian_normalize(minimal_realization(wide_example(0))).R
     coiso_err = float(np.max(np.abs(R @ R.conj().T - np.eye(3))))
     W0 = gramians(gramian_normalize(
-        minimal_realization(wide_example(0)), "coiso")).W_obs
+        minimal_realization(wide_example(0)))).W_obs
     W1 = gramians(gramian_normalize(
-        minimal_realization(wide_example(1)), "coiso")).W_obs
+        minimal_realization(wide_example(1)))).W_obs
     w_err = max(float(np.max(np.abs(W0 - np.diag([1.0, 16 / 25])))),
                 float(abs(W1[0, 0] - 16 / 25)))
     member = is_paraunitary_hankel(wide_example(0)).member

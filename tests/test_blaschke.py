@@ -82,7 +82,7 @@ def test_three_forms_agree(rng):
         side = "iso" if seed % 2 == 0 else "coiso"
         p, m = (3, 2) if side == "iso" else (2, 3)
         gamma = int(rng.integers(0, 5))
-        prod = decode_angles(random_params(p, m, 4, gamma, seed, side))
+        prod = decode_angles(random_params(p, m, 4, gamma, seed))
         F = synth(prod)
         forms = product_forms(prod)
         for z in circle_points(16):
@@ -109,7 +109,7 @@ def test_expand_matches_synth(rng):
         p, m = (3, 2) if side == "iso" else (2, 3)
         d = int(rng.integers(1, 6))
         gamma = int(rng.integers(0, d + 1))
-        prod = decode_angles(random_params(p, m, d, gamma, seed, side))
+        prod = decode_angles(random_params(p, m, d, gamma, seed))
         F = synth(prod)
         assert max_coeff_diff(F, factor_chain(prod)) < 1e-11
         assert np.max(np.abs(F.eval(1.0) - prod.U)) < 1e-11

@@ -147,6 +147,43 @@ def test_poly_integer_field_exit(tmp_path, capsys, field, value):
     assert captured.out == "" and f"field {field!r}" in captured.err
 
 
+@pytest.mark.parametrize("entry", [
+    pytest.param([True, False], id="true"),
+    pytest.param([False, 1.0], id="false"),
+    pytest.param([1.0, "0"], id="str"),
+    pytest.param([[1.0], 0.0], id="nested"),
+])
+def test_non_number_coefficient_exit(tmp_path, capsys, entry):
+    # a JSON boolean is no number, even where Python would read it as 0/1
+    data = poly_to_dict(square_example(1))
+    data["coeffs"][0][0][0] = entry
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "field 'coeffs'" in captured.err
+
+
+def test_memory_error_exit(tmp_path, monkeypatch, capsys):
+    # a huge delay asks for a Hankel matrix of 10^6 x 10^6 blocks; the
+    # build is replaced by one that fails, so nothing is allocated
+    import pufir.hankel as hankel
+    import pufir.realization as realization
+
+    def no_memory(F):
+        raise MemoryError(f"no memory for a Hankel of {F.n - F.q} blocks")
+
+    for module in (hankel, realization):
+        monkeypatch.setattr(module, "hankel_causal", no_memory)
+    path = tmp_path / "deep.json"
+    save_poly(LaurentPoly(-1000000, [np.eye(1)]), path)
+    for command in ("check", "degree", "realize"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: no memory for a Hankel of 1000001 blocks\n")
+
+
 @pytest.mark.parametrize("command", ["synth", "degree"])
 def test_number_beyond_float_exit(tmp_path, capsys, command):
     path = tmp_path / "in.json"

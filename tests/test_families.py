@@ -208,11 +208,11 @@ def test_product_stacked_hankel_identities(rng):
         P = product_via_hankel(Fb, Fc)
         assert (P.q, P.n) == (-1, n + l - 1)
         Fb0, Fc0 = Fb.shift(-Fb.q), Fc.shift(-Fc.q)
-        HT = hankel_causal(Fb0, l).data @ block_flip(n + l, rho)
-        Dstack = HT @ stack_B(Fc0, n)
-        assert np.max(np.abs(Dstack[:p])) < 1e-12
-        assert np.max(np.abs(Dstack[p:] - stack_B(P))) < 1e-12
-        Hc = hankel_causal(Fc0, n).data
+        HT = hankel_causal(Fb0.shift(-l)).data @ block_flip(n + l, rho)
+        Dstack = HT @ stack_B(Fc0.shift(-n))
+        # P has q = -1, so its stack is [0; D_1; ...]
+        assert np.max(np.abs(Dstack - stack_B(P))) < 1e-12
+        Hc = hankel_causal(Fc0.shift(-n)).data
         assert np.max(np.abs(hankel_causal(P).data - HT @ Hc)) < 1e-12
 
 
@@ -233,7 +233,7 @@ def test_interleave_and_hankel_abr():
     F = wide_example(0)
     # a=0, b=0, rho=1 reproduces the plain Hankel
     H = hankel_abr(F, 0, 0, 1)
-    assert np.allclose(H.data, hankel_causal(F.shift(0), 0).data)
+    assert np.allclose(H.data, hankel_causal(F).data)
     seq = interleave_coeffs(F, 0, 1, 1)
     # leading zero block, then B_1, zero, B_2
     assert np.max(np.abs(seq[0])) == 0

@@ -12,13 +12,13 @@ from conftest import random_poly, toeplitz_gram_equiv
 
 
 def test_hankel_wide_example():
-    H = hankel_causal(wide_example(0), 0)
+    H = hankel_causal(wide_example(0))
     expected = np.array([[0, -3, 4, 0], [4, 0, 0, 0]]) / 5.0
     assert np.allclose(H.data, expected)
 
 
 def test_hankel_identity_block():
-    H = hankel_causal(LaurentPoly(0, [np.eye(2)]), 0)
+    H = hankel_causal(LaurentPoly(0, [np.eye(2)]))
     assert np.allclose(H.data, np.eye(2))
 
 
@@ -42,15 +42,15 @@ def test_hankel_property_blockwise(rng):
 
 def test_hankel_anticausal_reverse_property(rng):
     F = random_poly(rng, 2, 2, 4, q=5)  # strictly anti-causal
-    A = hankel_anticausal(F, 0)
+    A = hankel_anticausal(F)
     rev = LaurentPoly(0, F.coeffs[::-1])
-    C = hankel_causal(rev, 0)
+    C = hankel_causal(rev)
     assert np.allclose(A.data, C.data)
 
 
 def test_hankel_anticausal_single():
     U = np.array([[0, 1], [1, 0]], dtype=complex)
-    H = hankel_anticausal(LaurentPoly(2, [U]), 0)
+    H = hankel_anticausal(LaurentPoly(2, [U]))
     assert np.allclose(H.data, U)
 
 
@@ -90,12 +90,12 @@ def test_mcmillan_degree_regime_table():
 
 def test_rank_padding_invariance(rng):
     F = random_poly(rng, 2, 2, 3, q=0)
-    base = hankel_causal(F, 0).rank()
+    base = numerical_rank(hankel_causal(F).singular_values())
     # padding adds zero rows/columns only when eta exceeds the delay,
     # which is exactly the eta=0 normalized case extended artificially
     for eta in (0, 1, 2):
         H = hankel_causal(F.shift(-eta))
-        assert H.rank() >= base
+        assert numerical_rank(H.singular_values()) >= base
 
 
 def test_numerical_rank_thresholds():
@@ -110,9 +110,9 @@ def test_singular_values_wide_example():
 
 
 def test_singular_values_trivial():
-    H = hankel_causal(LaurentPoly(0, [np.eye(2)]), 0)
+    H = hankel_causal(LaurentPoly(0, [np.eye(2)]))
     assert np.allclose(H.singular_values(), [1.0, 1.0])
-    Z = hankel_causal(LaurentPoly(0, [np.zeros((2, 2))]), 0)
+    Z = hankel_causal(LaurentPoly(0, [np.zeros((2, 2))]))
     assert np.allclose(Z.singular_values(), 0.0)
 
 
@@ -149,8 +149,8 @@ def test_membership_condition_via_stack(rng):
     for seed in range(5):
         F = random_member(3, 2, 3, seed=seed)
         F0 = F.shift(-F.q)
-        H0 = hankel_causal(F0, 0).data
-        G = H0.conj().T @ stack_B(F0, 0)
+        H0 = hankel_causal(F0).data
+        G = H0.conj().T @ stack_B(F0)
         target = np.vstack([np.eye(2), np.zeros((G.shape[0] - 2, 2))])
         assert np.max(np.abs(G - target)) < 1e-12
 
@@ -201,7 +201,7 @@ def test_hankel_shift_factorization():
         H = hankel_causal(F_sh)
         size = H.block_rows
         J = np.eye(size * F.p, k=F.p)
-        col = stack_B(F_sh, eta)
+        col = stack_B(F_sh)
         for j in range(size):
             block = H.data[:, j * F.m:(j + 1) * F.m]
             assert np.allclose(block, np.linalg.matrix_power(J, j) @ col)

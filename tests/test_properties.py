@@ -4,20 +4,32 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from pufir import families
-from pufir.blaschke import decode_angles, random_member, random_params, synth
-from pufir.hankel import (hankel_anticausal, hankel_causal,
-                          is_paraunitary_hankel)
+from pufir.blaschke import (AngleParams, chart_size, decode_angles,
+                            random_member, synth)
+from pufir.hankel import (hankel_anticausal, hankel_causal, hankel_pair,
+                          is_paraunitary_hankel, mcmillan_degree)
 from pufir.io import dumps_poly, loads_poly
-from pufir.laurent import LaurentPoly
-from pufir.realization import Realization, gramians, minimal_realization
+from pufir.laurent import LaurentPoly, constant
+from pufir.realization import (Realization, gramians, minimal_realization,
+                               naive_realization, transfer)
 
-from conftest import (add_blocks, assert_same_poly, compose_blocks,
-                      factor_chain, full_gram_residual, grouped_blocks,
-                      interleave_blocks, kron_stein, lag_sum_residual,
-                      max_coeff_diff, placed_blocks, random_poly,
-                      reblock_blocks, sampled_defect, split_terms)
+from conftest import (add_blocks, assert_same_poly, circle_points,
+                      compose_blocks, factor_chain, full_gram_residual,
+                      grouped_blocks, hankel_blocks, interleave_blocks,
+                      kron_stein, lag_sum_residual, max_coeff_diff,
+                      placed_blocks, random_poly, reblock_blocks,
+                      sampled_defect, split_terms)
 
 seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def members(draw):
+    """random_member draws with p, m in [1, 5], d in [0, 6], gamma in [0, d];
+    the side follows the shape."""
+    p, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    d = draw(st.integers(0, 6))
+    return random_member(p, m, d, draw(st.integers(0, d)), draw(seeds))
 
 
 @st.composite
@@ -28,7 +40,9 @@ def products(draw):
     p, m = (max(a, b), min(a, b)) if side == "iso" else (min(a, b), max(a, b))
     d = draw(st.integers(0, 6))
     gamma = draw(st.integers(0, d))
-    return decode_angles(random_params(p, m, d, gamma, draw(seeds), side))
+    rng = np.random.default_rng(draw(seeds))
+    angles = rng.uniform(0.0, 2.0 * np.pi, chart_size(side, p, m, d))
+    return decode_angles(AngleParams(side, p, m, d, gamma, angles))
 
 
 @given(products())
@@ -65,8 +79,8 @@ def test_hankel_blocks_match_definition(p, m, n, eta, seed):
     # causal block (i, j) is B_k, anti-causal block is B_{n+1-k}, with
     # k = i + j + 1 - eta, and zero outside 1 <= k <= n
     F = random_poly(np.random.default_rng(seed), p, m, n, q=0)
-    H = hankel_causal(F, eta)
-    A = hankel_anticausal(LaurentPoly(n + 1, F.coeffs), eta)
+    H = hankel_causal(F.shift(-eta))
+    A = hankel_anticausal(LaurentPoly(n + 1 + eta, F.coeffs))
     size = n + eta
     assert H.data.shape == A.data.shape == (size * p, size * m)
     zero = np.zeros((p, m))
@@ -78,6 +92,59 @@ def test_hankel_blocks_match_definition(p, m, n, eta, seed):
                                   F.coeffs[k - 1] if inside else zero)
             assert np.array_equal(A.block(i, j),
                                   F.coeffs[n - k] if inside else zero)
+
+
+@given(products())
+def test_degree_law(prod):
+    # a scalar product is z^gamma z^-(d - gamma) times a unimodular constant
+    F = synth(prod)
+    scalar = prod.p == prod.m == 1
+    assert mcmillan_degree(F) == (abs(prod.d - 2 * prod.gamma) if scalar
+                                  else prod.d)
+
+
+@given(members(), seeds)
+def test_membership_under_constant_unitaries(F, seed):
+    rng = np.random.default_rng(seed)
+
+    def unitary(k):
+        Q, R = np.linalg.qr(rng.normal(size=(k, k))
+                            + 1j * rng.normal(size=(k, k)))
+        return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+    C = np.array(F.coeffs)
+    C[0, 0, 0] += 1e-2
+    bad = LaurentPoly(F.q, C)
+    V, W = constant(unitary(F.m)), constant(unitary(F.p))
+    for G, member in ((F, True), (bad, False)):
+        for H in (G @ V, W @ G):
+            assert (H.q, H.n) == (G.q, G.n)
+            assert is_paraunitary_hankel(H).member is member
+
+
+@given(members(), st.integers(0, 6), seeds)
+def test_families_preserve_membership(F, d, seed):
+    # each construction on the side where acceptance criterion 6 applies it
+    def member(G):
+        assert is_paraunitary_hankel(G).member
+
+    p, m = F.p, F.m
+    member(families.reverse_poly(F))
+    member(families.dilate(F, 0, 2))
+    member(families.compose_diag(F, F))
+    member(families.compose_diag(F, F, "antidiag"))
+    if p >= m:
+        member(families.rect_stack(F, 2))
+    if m >= p:
+        member(families.rect_widen(F, 2))
+    if p == m:
+        member(families.compose_mix_rows(F, F, 0.5))
+        member(families.compose_mix_cols(F, F, 0.5))
+    shifted = F.shift(-F.q - 1)
+    G = families.reblock(shifted, 2)
+    member(G)
+    assert mcmillan_degree(G) == mcmillan_degree(shifted)
+    member(families.product_via_hankel(F, random_member(m, m, d, seed=seed)))
 
 
 # -- coefficient-array index maps against the block-loop oracles
@@ -158,6 +225,27 @@ def test_split_matches_terms(F):
     assert_same_poly(right, oracle_right)
 
 
+@given(polys())
+def test_hankel_pair_matches_index_definition(F):
+    # H holds the n - q negative powers (F_r exists iff q < n), H_hat the
+    # q - 1 positive ones (F_l exists iff q >= 2); an absent part is 0x0
+    pair = hankel_pair(F)
+    left, _, right = split_terms(F)
+    for H, part, sign, size in ((pair.H, right, -1, F.n - F.q),
+                                (pair.H_hat, left, 1, F.q - 1)):
+        assert np.array_equal(H.data, hankel_blocks(part, sign, size))
+        assert (H.block_rows, H.block_cols) == (max(size, 0),) * 2
+
+
+@given(polys(qs=lambda n: st.integers(-3, 1)))
+def test_realizations_match_eval(F):
+    scale = np.max(np.abs(F.coeffs))
+    for R in (naive_realization(F), minimal_realization(F)):
+        for z in circle_points(8):
+            err = np.max(np.abs(transfer(R, z) - F.eval(z)))
+            assert err <= 1e-9 * scale
+
+
 @given(polys(p=2, m=3), polys(p=2, m=3))
 def test_add_matches_block_loop(F, G):
     assert_same_poly(F + G, add_blocks(F, G))
@@ -167,9 +255,7 @@ def test_add_matches_block_loop(F, G):
 def test_unitary_defect_matches_horner_samples(F, eps, seed):
     # members (eps = 0) and perturbed members, plus a random polynomial
     # scaled to unit coefficient norm
-    side = "iso" if F.p >= F.m else "coiso"
-    M = synth(decode_angles(random_params(F.p, F.m, F.n - 1, 0, seed,
-                                          side))).shift(F.q - 1)
+    M = random_member(F.p, F.m, F.n - 1, 0, seed).shift(F.q - 1)
     M = M + F.scale(eps)                 # same q and n as F
     R = F.scale(1.0 / np.linalg.norm(F.coeffs))
     for P in (M, R):

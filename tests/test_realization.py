@@ -96,11 +96,11 @@ def test_transfer_wide_example_q1():
 
 
 def test_gramians_wide_example():
-    R = gramian_normalize(minimal_realization(wide_example(0)), "coiso")
+    R = gramian_normalize(minimal_realization(wide_example(0)))
     pair = gramians(R)
     assert np.max(np.abs(pair.W_cont - np.eye(2))) < 1e-12
     assert np.max(np.abs(pair.W_obs - np.diag([1.0, 0.64]))) < 1e-10
-    R1 = gramian_normalize(minimal_realization(wide_example(1)), "coiso")
+    R1 = gramian_normalize(minimal_realization(wide_example(1)))
     assert abs(gramians(R1).W_obs[0, 0] - 0.64) < 1e-10
 
 
@@ -150,7 +150,7 @@ def test_check_unitary_square_example():
 
 
 def test_check_unitary_wide_example():
-    R = gramian_normalize(minimal_realization(wide_example(0)), "coiso")
+    R = gramian_normalize(minimal_realization(wide_example(0)))
     label, _, rc = check_unitary_realization(R)
     assert label == "co-isometric" and rc < 1e-9
     M = R.R
