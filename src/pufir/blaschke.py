@@ -23,8 +23,8 @@ __all__ = [
 _UNIT_TOL = 1e-12
 
 
-def _check_core_unitary(U, side):
-    gram = U.conj().T @ U if side == "iso" else U @ U.conj().T
+def _check_core_unitary(U):
+    gram = U.conj().T @ U if U.shape[0] >= U.shape[1] else U @ U.conj().T
     return float(np.abs(gram - np.eye(len(gram))).max())
 
 
@@ -34,10 +34,9 @@ class BPProduct:
 
     The first gamma factors are anti-causal, I + (z - 1)vv*, the rest
     causal, I + (1/z - 1)vv*.  The constant (co)isometry U multiplies on
-    the right (iso) or on the left (coiso).
+    the right when p >= m (iso) and on the left when p < m (coiso).
     """
 
-    side: str
     gamma: int
     vs: tuple
     U: np.ndarray
@@ -49,12 +48,12 @@ class BPProduct:
         object.__setattr__(self, "vs", vs)
         if U.ndim != 2:
             raise ValueError(f"U must be a matrix, got shape {U.shape}")
-        k = _chart_k(self.side, *U.shape, len(vs))
+        k = _chart_k(*U.shape, len(vs))
         if any(v.size != k for v in vs):
             raise ValueError(f"factor vectors must live in C^{k}")
         if not np.isfinite(U).all():
             raise ValueError("U must be finite (no NaN or Inf)")
-        if not _check_core_unitary(U, self.side) <= _UNIT_TOL:
+        if not _check_core_unitary(U) <= _UNIT_TOL:
             raise ValueError("U fails the (co)isometry invariant")
         # vdot is no ufunc: a NaN or Inf entry gives a non-finite norm and
         # no floating-point warning
@@ -77,7 +76,7 @@ class BPProduct:
 
     @property
     def k(self):
-        return self.p if self.side == "iso" else self.m
+        return max(self.p, self.m)
 
 
 def synth(prod):
@@ -89,19 +88,18 @@ def synth(prod):
     G_c Q + G_{c-1} P; an anti-causal factor I + (z - 1)P = z(P + Q/z) is
     the same update with P and Q swapped, its z carried by the shift
     q = 1 + gamma.  Both are rank-one updates through w_c = G_c v.  Iso
-    products apply the anti-causal factors first and U on the right,
-    co-iso products apply them last and U on the left.
+    products (p >= m) apply the anti-causal factors first and U on the
+    right, co-iso products apply them last and U on the left.
 
     Result is causal for gamma=0, anti-causal for gamma=d, and always
     para-unitary on the circle.
     """
-    g, k = prod.gamma, prod.k
+    g, k, iso = prod.gamma, prod.k, prod.p >= prod.m
     anti = [(v, True) for v in prod.vs[:g]]
     causal = [(v, False) for v in prod.vs[g:]]
     G = np.zeros((prod.d + 1, k, k), dtype=complex)
     G[0] = np.eye(k)
-    for v, is_anti in (anti + causal if prod.side == "iso"
-                       else causal + anti):
+    for v, is_anti in (anti + causal if iso else causal + anti):
         w = np.diff(G @ v, axis=0, prepend=0)      # G_c v - G_{c-1} v
         step = w[:, :, None] * v.conj()
         if is_anti:
@@ -110,32 +108,25 @@ def synth(prod):
             G += step
         else:
             G -= step
-    coeffs = G @ prod.U if prod.side == "iso" else prod.U @ G
+    coeffs = G @ prod.U if iso else prod.U @ G
     return LaurentPoly(g + 1, coeffs)
 
 
-def _chart_k(side, p, m, d):
-    """Validate the chart shape; k = p (iso) or m (coiso)."""
-    if side not in ("iso", "coiso"):
-        raise ValueError(f"unknown side {side!r}")
+def _chart_k(p, m, d):
+    """Validate the chart shape; k = max(p, m)."""
     for name, value, low in (("p", p, 1), ("m", m, 1), ("d", d, 0)):
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
-    if side == "iso" and p < m:
-        raise ValueError("iso side needs p >= m")
-    if side == "coiso" and m < p:
-        raise ValueError("coiso side needs m >= p")
-    return p if side == "iso" else m
+    return max(p, m)
 
 
-def param_count(side, p, m, d):
+def param_count(p, m, d):
     """Real dimension of the degree-d para-unitary polytope.
 
     The full parametrization consists of d+1 discrete copies (the split
     index) of a polytope of this dimension.
     """
-    _chart_k(side, p, m, d)
-    a, b = (p, m) if side == "iso" else (m, p)
+    a, b = _chart_k(p, m, d), min(p, m)
     return (2 * a - b - 1) * (b + d) + d * (b - 1) + b
 
 
@@ -146,10 +137,9 @@ class AngleParams:
     The chart is an over-parametrized smooth cover of the product set:
     each factor vector uses 2k-1 spherical angles and the constant core
     uses k^2 angles of a phase-times-Givens factorization of a k x k
-    unitary, k = p (iso) or m (coiso).
+    unitary, k = max(p, m).
     """
 
-    side: str
     p: int
     m: int
     d: int
@@ -159,7 +149,7 @@ class AngleParams:
     def __post_init__(self):
         ang = np.asarray(self.angles, dtype=float).reshape(-1)
         object.__setattr__(self, "angles", ang)
-        want = chart_size(self.side, self.p, self.m, self.d)
+        want = chart_size(self.p, self.m, self.d)
         if ang.size != want:
             raise ValueError(f"expected {want} angles, got {ang.size}")
         if not np.isfinite(ang).all():
@@ -167,10 +157,14 @@ class AngleParams:
         if not 0 <= self.gamma <= self.d:
             raise ValueError("gamma must lie in [0, d]")
 
+    @property
+    def side(self):
+        return "iso" if self.p >= self.m else "coiso"
 
-def chart_size(side, p, m, d):
-    """Number of chart angles; refuses a side or shape with no chart."""
-    k = _chart_k(side, p, m, d)
+
+def chart_size(p, m, d):
+    """Number of chart angles; refuses a shape with no chart."""
+    k = _chart_k(p, m, d)
     return d * (2 * k - 1) + k * k
 
 
@@ -207,21 +201,19 @@ def _unitary_from_angles(angles, k):
 
 def decode_angles(params):
     """Map a chart point to a valid BPProduct (always succeeds)."""
-    k = params.p if params.side == "iso" else params.m
+    k = max(params.p, params.m)
     per = 2 * k - 1
     vs = [_sphere_vector(params.angles[j * per:(j + 1) * per], k)
           for j in range(params.d)]
     W = _unitary_from_angles(params.angles[params.d * per:], k)
-    U = W[:, :params.m] if params.side == "iso" else W[:params.p, :]
-    return BPProduct(params.side, params.gamma, tuple(vs), U)
+    return BPProduct(params.gamma, tuple(vs), W[:params.p, :params.m])
 
 
 def random_params(p, m, d, gamma=0, seed=None):
-    """Seeded uniform chart point; the side is iso when p >= m, else coiso."""
-    side = "iso" if p >= m else "coiso"
+    """Seeded uniform chart point."""
     rng = np.random.default_rng(seed)
-    ang = rng.uniform(0.0, 2.0 * np.pi, chart_size(side, p, m, d))
-    return AngleParams(side, p, m, d, gamma, ang)
+    ang = rng.uniform(0.0, 2.0 * np.pi, chart_size(p, m, d))
+    return AngleParams(p, m, d, gamma, ang)
 
 
 def random_member(p, m, d, gamma=0, seed=None):
@@ -240,16 +232,14 @@ def design_optimize(objective, p, m, d, gamma=0, budget=5000, seed=0):
 
     Coordinate descent with a coarse periodic scan followed by a
     golden-section refinement on each coordinate, restarted from seeded
-    random chart points.  The side is iso when p >= m, else coiso.
-    `budget` counts objective evaluations; every candidate decodes to a
-    member of the class by construction.
+    random chart points.  `budget` counts objective evaluations; every
+    candidate decodes to a member of the class by construction.
 
     Returns (best AngleParams, best LaurentPoly, best value).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    side = "iso" if p >= m else "coiso"
-    size = chart_size(side, p, m, d)
+    size = chart_size(p, m, d)
     rng = np.random.default_rng(seed)
     state = {"evals": 0, "best": None}
 
@@ -257,7 +247,7 @@ def design_optimize(objective, p, m, d, gamma=0, budget=5000, seed=0):
         if state["evals"] >= budget:
             raise _BudgetExhausted
         state["evals"] += 1
-        params = AngleParams(side, p, m, d, gamma, angles)
+        params = AngleParams(p, m, d, gamma, angles)
         F = synth(decode_angles(params))
         val = float(objective(F))
         if state["best"] is None or val < state["best"][0]:

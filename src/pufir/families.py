@@ -112,13 +112,8 @@ def u_iso(alpha, beta, eta, delta):
 
 
 def u_coiso(alpha, beta, eta, delta):
-    """Kronecker co-isometry I_eta x [0, I_delta, 0] (row layout)."""
-    if eta <= 0 or delta <= 0 or alpha < 0 or beta < 0:
-        raise ValueError("need eta, delta > 0 and alpha, beta >= 0")
-    cell = np.hstack([np.zeros((delta, beta)),
-                      np.eye(delta),
-                      np.zeros((delta, alpha))])
-    return np.kron(np.eye(eta), cell).astype(complex)
+    """Kronecker co-isometry I_eta x [0, I_delta, 0]: u_iso transposed."""
+    return u_iso(alpha, beta, eta, delta).T
 
 
 def _grouped(F, rho):

@@ -97,8 +97,11 @@ def angles_from_dict(data):
         p, m, d, gamma = (_int_field(data, key)
                           for key in ("p", "m", "d", "gamma"))
         angles = _numbers(data["angles"], "angles")
-        return AngleParams(data["side"], p, m, d, gamma,
-                           np.array(angles, dtype=float))
+        params = AngleParams(p, m, d, gamma, np.array(angles, dtype=float))
+        if data["side"] != params.side:
+            raise ValueError(f"field 'side' must be {params.side!r} for a "
+                             f"{p} x {m} chart, got {data['side']!r}")
+        return params
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed angle data: {exc}") from exc
 

@@ -25,6 +25,9 @@ def _as_blocks(coeffs):
         raise ValueError("a Laurent polynomial needs at least one coefficient")
     if blocks.ndim != 3:
         raise ValueError("coefficients must be 2-d matrices")
+    if 0 in blocks.shape[1:]:
+        raise ValueError("coefficient matrices must be at least 1 x 1, got "
+                         f"{blocks.shape[1]} x {blocks.shape[2]}")
     if not np.isfinite(blocks).all():
         raise ValueError("coefficients must be finite (no NaN or Inf)")
     blocks.setflags(write=False)
@@ -96,12 +99,12 @@ class LaurentPoly:
     def scale(self, c):
         return LaurentPoly(self.q, c * self.coeffs)
 
-    def trim(self, tol=0.0):
+    def trim(self):
         """Strip zero leading/trailing coefficient blocks, adjusting q and n.
 
         The zero polynomial trims to the canonical form q=0, n=1, B_1=0.
         """
-        nz = np.flatnonzero(np.max(np.abs(self.coeffs), axis=(1, 2)) > tol)
+        nz = np.flatnonzero(self.coeffs.any(axis=(1, 2)))
         if not nz.size:
             return zero(self.p, self.m)
         i, j = nz[0], nz[-1]

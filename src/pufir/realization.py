@@ -13,6 +13,8 @@ import numpy as np
 from .hankel import (DEFAULT_TOL, RANK_TOL, hankel_causal, numerical_rank,
                      stack_B)
 
+STEIN_TOL = 1e-9        # residual bound of a Stein solve, relative to RHS
+
 __all__ = [
     "Realization", "GramianPair",
     "naive_realization", "minimal_realization", "transfer",
@@ -121,7 +123,7 @@ class GramianPair:
     W_obs: np.ndarray
 
 
-def _stein_solve(A, RHS, tol):
+def _stein_solve(A, RHS):
     """Solve W - A W A* = RHS by doubling, W = sum_k A^k RHS A*^k.
 
     Each pass adds the next 2^j terms and squares A, so a nilpotent A is
@@ -137,17 +139,17 @@ def _stein_solve(A, RHS, tol):
         Ak = Ak @ Ak
     W = (W + W.conj().T) / 2.0
     residual = np.max(np.abs(W - A @ W @ A.conj().T - RHS), initial=0.0)
-    if not residual <= tol * max(1.0, np.max(np.abs(RHS), initial=0.0)):
+    if not residual <= STEIN_TOL * max(1.0, np.abs(RHS).max(initial=0.0)):
         raise RuntimeError("Stein solve residual exceeds tolerance")
     return W
 
 
-def gramians(R, tol=DEFAULT_TOL):
+def gramians(R):
     """Controllability and observability Gramians of a Schur-stable A."""
     if R.nu and np.max(np.abs(np.linalg.eigvals(R.A))) >= 1.0:
         raise ValueError("A must be Schur stable (spectral radius < 1)")
-    return GramianPair(_stein_solve(R.A, R.B @ R.B.conj().T, tol),
-                       _stein_solve(R.A.conj().T, R.C.conj().T @ R.C, tol))
+    return GramianPair(_stein_solve(R.A, R.B @ R.B.conj().T),
+                       _stein_solve(R.A.conj().T, R.C.conj().T @ R.C))
 
 
 def check_unitary_realization(R, tol=DEFAULT_TOL):
@@ -181,7 +183,7 @@ def _psd_sqrt(W):
     return (evecs * root) @ evecs.conj().T, (evecs / root) @ evecs.conj().T
 
 
-def gramian_normalize(R, tol=DEFAULT_TOL):
+def gramian_normalize(R):
     """State transformation bringing one Gramian to the identity.
 
     For p >= m, T = W_obs^{1/2} makes the new observability Gramian I;
@@ -190,7 +192,7 @@ def gramian_normalize(R, tol=DEFAULT_TOL):
     """
     if R.nu == 0:
         return R
-    pair = gramians(R, tol)
+    pair = gramians(R)
     if R.p >= R.m:
         T, Tinv = _psd_sqrt(pair.W_obs)
     else:

@@ -55,7 +55,7 @@ def factor_chain(prod):
     anti = [factor(v, True) for v in prod.vs[:prod.gamma]]
     causal = [factor(v, False) for v in prod.vs[prod.gamma:]]
     const = LaurentPoly(1, [prod.U])
-    polys = (anti + causal + [const] if prod.side == "iso"
+    polys = (anti + causal + [const] if prod.p >= prod.m
              else [const] + causal + anti)
     out = polys[0]
     for F in polys[1:]:
@@ -92,7 +92,7 @@ def product_forms(prod):
         return chain(vs[g:], 1.0 / z)
 
     def evaluator(form):
-        if prod.side == "iso":
+        if prod.p >= prod.m:
             return lambda z: anti(z, form) @ causal(z, form) @ U
         return lambda z: U @ causal(z, form) @ anti(z, form)
 

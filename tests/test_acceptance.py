@@ -16,8 +16,8 @@ from pufir.families import (compose_diag, compose_mix_cols,
 from pufir.hankel import (defect_structure, hankel_pair,
                           is_paraunitary_hankel, mcmillan_degree)
 from pufir.laurent import LaurentPoly
-from pufir.realization import (gramian_normalize, gramians,
-                               minimal_realization)
+from pufir.realization import gramians, minimal_realization
+from pufir.verify import verify_examples
 
 from conftest import (circle_points, factor_chain, max_coeff_diff,
                       product_forms, random_poly, random_unit,
@@ -29,38 +29,29 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_1_square_example():
+def examples_report(num, prefix, names):
+    """Assert on the verify_examples() entries named prefix + ..."""
     t0 = time.perf_counter()
-    d2 = mcmillan_degree(square_example(2))
-    d1 = mcmillan_degree(square_example(1))
-    R = gramian_normalize(minimal_realization(square_example(1))).R
-    r_iso = float(np.max(np.abs(R.conj().T @ R - np.eye(4))))
-    r_coiso = float(np.max(np.abs(R @ R.conj().T - np.eye(4))))
+    checks = [c for c in verify_examples() if c[0].startswith(prefix)]
     elapsed = time.perf_counter() - t0
-    ok = (d2 == 2 and d1 == 2 and R.shape == (4, 4)
-          and r_iso < 1e-9 and r_coiso < 1e-9 and elapsed < 1.0)
-    report(1, ok, f"degrees ({d2}, {d1}), unitary residuals "
-                  f"({r_iso:.2e}, {r_coiso:.2e}), {elapsed:.3f}s")
+    ok = ([name for name, _, _ in checks] == names
+          and all(passed for _, passed, _ in checks) and elapsed < 1.0)
+    report(num, ok, "; ".join(f"{name}: {detail}"
+                              for name, _, detail in checks)
+           + f"; {elapsed:.3f}s")
+
+
+def test_criterion_1_square_example():
+    examples_report(1, "square ", [
+        "square q=2 McMillan degree", "square q=1 McMillan degree",
+        "square realization matrix 4x4", "square realization unitary"])
 
 
 def test_criterion_2_wide_example():
-    t0 = time.perf_counter()
-    sv = hankel_pair(wide_example(0)).H.singular_values()
-    sv_err = float(np.max(np.abs(sv - np.array([1.0, 0.8]))))
-    R = gramian_normalize(minimal_realization(wide_example(0))).R
-    coiso_err = float(np.max(np.abs(R @ R.conj().T - np.eye(3))))
-    W0 = gramians(gramian_normalize(
-        minimal_realization(wide_example(0)))).W_obs
-    W1 = gramians(gramian_normalize(
-        minimal_realization(wide_example(1)))).W_obs
-    w_err = max(float(np.max(np.abs(W0 - np.diag([1.0, 16 / 25])))),
-                float(abs(W1[0, 0] - 16 / 25)))
-    member = is_paraunitary_hankel(wide_example(0)).member
-    elapsed = time.perf_counter() - t0
-    ok = (sv_err < 1e-10 and coiso_err < 1e-9 and W1.shape == (1, 1)
-          and w_err < 1e-10 and member and elapsed < 1.0)
-    report(2, ok, f"sv err {sv_err:.2e}, RR* err {coiso_err:.2e}, "
-                  f"W_obs err {w_err:.2e}, member={member}, {elapsed:.3f}s")
+    examples_report(2, "wide ", [
+        "wide Hankel singular values (1, 0.8)", "wide membership",
+        "wide RR* = diag(I2, 1)", "wide W_obs q=0 = diag(1, 16/25)",
+        "wide W_obs q=1 = 16/25"])
 
 
 def test_criterion_3_synthesis_soundness():
@@ -105,7 +96,7 @@ def test_criterion_4_degree_law():
     for seed in range(5):
         g = int(rng.integers(1, 4))
         vs = tuple(random_unit(rng, 3) for _ in range(g))
-        prod = BPProduct("iso", g, vs + vs[::-1], np.eye(3))
+        prod = BPProduct(g, vs + vs[::-1], np.eye(3))
         F = synth(prod)
         for z in circle_points(16):
             worst = max(worst, float(np.max(np.abs(F.eval(z) - np.eye(3)))))
@@ -184,9 +175,9 @@ def test_criterion_7_param_count_grid():
         for p in range(1, 6):
             for m in range(1, p + 1):
                 expect = (2 * p - m - 1) * (m + d) + d * (m - 1) + m
-                ok = ok and param_count("iso", p, m, d) == expect
-                ok = ok and param_count("coiso", m, p, d) == expect
-        ok = ok and param_count("iso", 1, 1, d) == 1
+                ok = ok and param_count(p, m, d) == expect
+                ok = ok and param_count(m, p, d) == expect
+        ok = ok and param_count(1, 1, d) == 1
     report(7, ok, "formula grid p,m <= 5, d <= 5 incl. p=m=1 -> 1")
 
 

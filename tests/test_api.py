@@ -1,10 +1,14 @@
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from types import ModuleType
 
 import pytest
 
 import pufir
+from pufir.laurent import LaurentPoly
+from pufir.realization import gramian_normalize, gramians
 
 # every submodule; the CLI front end exports nothing and has no __all__
 MODULES = sorted(info.name for info in pkgutil.iter_modules(pufir.__path__))
@@ -26,3 +30,34 @@ def test_package_reexports_only_listed_names():
     exported = {n for n, value in vars(pufir).items()
                 if not n.startswith("_") and not isinstance(value, ModuleType)}
     assert sorted(exported - listed) == []
+
+
+def public_callables():
+    """(qualified name, object) of every listed callable and the public
+    methods of every listed class."""
+    for name in MODULES:
+        module = importlib.import_module(f"pufir.{name}")
+        for export in getattr(module, "__all__", ()):
+            obj = getattr(module, export)
+            if callable(obj):
+                yield f"{name}.{export}", obj
+            if isinstance(obj, type):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and callable(member):
+                        yield f"{name}.{export}.{attr}", member
+
+
+def test_no_side_parameter_or_field():
+    # the shape decides the side: p >= m is isometric, p < m co-isometric
+    named = [qual for qual, obj in public_callables()
+             if "side" in inspect.signature(obj).parameters]
+    named += [f"{qual}.side" for qual, obj in public_callables()
+              if dataclasses.is_dataclass(obj)
+              and "side" in {f.name for f in dataclasses.fields(obj)}]
+    assert named == []
+
+
+@pytest.mark.parametrize("func", [gramians, gramian_normalize,
+                                  LaurentPoly.trim])
+def test_fixed_tolerances_take_no_tol(func):
+    assert "tol" not in inspect.signature(func).parameters

@@ -109,10 +109,13 @@ def test_shape_argument_exit(capsys, argv, message):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("side", "both", "unknown side 'both'"),
+    ("side", "both",
+     "field 'side' must be 'iso' for a 2 x 2 chart, got 'both'"),
+    ("side", "coiso",
+     "field 'side' must be 'iso' for a 2 x 2 chart, got 'coiso'"),
     ("p", 0, "p must be >= 1"),
     ("d", -2, "d must be >= 0"),
-    ("m", 3, "iso side needs p >= m"),
+    ("m", 3, "expected 24 angles, got 13"),
     ("gamma", 1.5, "field 'gamma' must be an integer"),
     ("p", 2.9, "field 'p' must be an integer"),
     ("d", True, "field 'd' must be an integer"),
@@ -145,6 +148,22 @@ def test_poly_integer_field_exit(tmp_path, capsys, field, value):
     assert main(["degree", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"field {field!r}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check"], id="check"),
+    pytest.param(["check", "--json"], id="check-json"),
+    pytest.param(["degree"], id="degree"),
+    pytest.param(["realize", "--json"], id="realize-json"),
+    pytest.param(["family", "reverse"], id="family-reverse"),
+])
+def test_zero_dimension_exit(tmp_path, capsys, argv):
+    # one 1 x 0 coefficient matrix
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"q": 0, "coeffs": [[[]]]}))
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "got 1 x 0" in captured.err
 
 
 @pytest.mark.parametrize("entry", [

@@ -201,6 +201,8 @@ def test_constructor_copies_the_callers_array(rng):
     ([np.zeros((2, 2)), np.zeros(2)], "same p x m shape"),
     ([np.full((2, 2), np.nan)], "finite"),
     ([np.eye(2), np.full((2, 2), np.inf)], "finite"),
+    (np.zeros((1, 2, 0)), "at least 1 x 1, got 2 x 0"),
+    (np.zeros((1, 0, 2)), "at least 1 x 1, got 0 x 2"),
 ])
 def test_constructor_errors(coeffs, message):
     with pytest.raises(ValueError, match=message):

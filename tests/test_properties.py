@@ -4,8 +4,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from pufir import families
-from pufir.blaschke import (AngleParams, chart_size, decode_angles,
-                            random_member, synth)
+from pufir.blaschke import decode_angles, random_member, random_params, synth
 from pufir.hankel import (hankel_anticausal, hankel_causal, hankel_pair,
                           is_paraunitary_hankel, mcmillan_degree)
 from pufir.io import dumps_poly, loads_poly
@@ -35,14 +34,10 @@ def members(draw):
 @st.composite
 def products(draw):
     """BP products with p, m in [1, 5], d in [0, 6], gamma in [0, d]."""
-    side = draw(st.sampled_from(["iso", "coiso"]))
-    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    p, m = (max(a, b), min(a, b)) if side == "iso" else (min(a, b), max(a, b))
+    p, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     d = draw(st.integers(0, 6))
     gamma = draw(st.integers(0, d))
-    rng = np.random.default_rng(draw(seeds))
-    angles = rng.uniform(0.0, 2.0 * np.pi, chart_size(side, p, m, d))
-    return decode_angles(AngleParams(side, p, m, d, gamma, angles))
+    return decode_angles(random_params(p, m, d, gamma, draw(seeds)))
 
 
 @given(products())
