@@ -28,6 +28,13 @@ def _check_core_unitary(U):
     return float(np.abs(gram - np.eye(len(gram))).max())
 
 
+def _frozen(a, dtype):
+    """Read-only copy: a chart point never shares memory with its caller."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class BPProduct:
     """FIR Blaschke-Potapov product.
@@ -42,8 +49,8 @@ class BPProduct:
     U: np.ndarray
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=complex)
-        vs = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in self.vs)
+        U = _frozen(self.U, complex)
+        vs = tuple(_frozen(v, complex).reshape(-1) for v in self.vs)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "vs", vs)
         if U.ndim != 2:
@@ -147,7 +154,7 @@ class AngleParams:
     angles: np.ndarray
 
     def __post_init__(self):
-        ang = np.asarray(self.angles, dtype=float).reshape(-1)
+        ang = _frozen(self.angles, float).reshape(-1)
         object.__setattr__(self, "angles", ang)
         want = chart_size(self.p, self.m, self.d)
         if ang.size != want:
@@ -209,10 +216,16 @@ def decode_angles(params):
     return BPProduct(params.gamma, tuple(vs), W[:params.p, :params.m])
 
 
+def _rng(seed):
+    """NumPy generator for a seed; refuses a negative seed by name."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_params(p, m, d, gamma=0, seed=None):
     """Seeded uniform chart point."""
-    rng = np.random.default_rng(seed)
-    ang = rng.uniform(0.0, 2.0 * np.pi, chart_size(p, m, d))
+    ang = _rng(seed).uniform(0.0, 2.0 * np.pi, chart_size(p, m, d))
     return AngleParams(p, m, d, gamma, ang)
 
 
@@ -227,6 +240,60 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _RESTARTS, _COARSE, _REFINE = 3, 8, 16
 
 
+def _descent(size, rng):
+    """Coordinate descent from the chart origin, then seeded restarts.
+
+    A generator: yields candidate angle vectors and receives their
+    objective values; it ends when every restart has converged.
+    """
+    for r in range(_RESTARTS + 1):
+        angles = (np.zeros(size) if r == 0
+                  else rng.uniform(0.0, 2.0 * np.pi, size))
+        fcur = yield angles
+        improved = True
+        while improved:
+            improved = False
+            for i in range(size):
+                fbest, xbest = yield from _line_min(angles, i, fcur)
+                if fbest < fcur - 1e-15:
+                    angles = angles.copy()
+                    angles[i] = xbest % (2.0 * np.pi)
+                    fcur = fbest
+                    improved = True
+
+
+def _line_min(angles, i, fcur):
+    """Coarse scan of coordinate i over one period, then golden-section
+    refinement around the best sample; returns (value, coordinate)."""
+    def at(x):
+        cand = angles.copy()
+        cand[i] = x
+        return cand
+
+    base = angles[i]
+    step = 2.0 * np.pi / _COARSE
+    vals = [(fcur, base)]
+    for t in range(1, _COARSE):
+        x = base + t * step
+        vals.append(((yield at(x)), x))
+    fbest, xbest = min(vals)
+    a, b = xbest - step, xbest + step
+    x1 = b - _GOLD * (b - a)
+    x2 = a + _GOLD * (b - a)
+    f1 = yield at(x1)
+    f2 = yield at(x2)
+    for _ in range(_REFINE):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLD * (b - a)
+            f1 = yield at(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLD * (b - a)
+            f2 = yield at(x2)
+    return min([(fbest, xbest), (f1, x1), (f2, x2)])
+
+
 def design_optimize(objective, p, m, d, gamma=0, budget=5000, seed=0):
     """Derivative-free design over the angle chart.
 
@@ -239,74 +306,17 @@ def design_optimize(objective, p, m, d, gamma=0, budget=5000, seed=0):
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    size = chart_size(p, m, d)
-    rng = np.random.default_rng(seed)
-    state = {"evals": 0, "best": None}
-
-    def f(angles):
-        if state["evals"] >= budget:
-            raise _BudgetExhausted
-        state["evals"] += 1
+    search = _descent(chart_size(p, m, d), _rng(seed))
+    best, val = None, None
+    for _ in range(budget):
+        try:
+            angles = search.send(val)
+        except StopIteration:
+            break
         params = AngleParams(p, m, d, gamma, angles)
         F = synth(decode_angles(params))
         val = float(objective(F))
-        if state["best"] is None or val < state["best"][0]:
-            state["best"] = (val, params, F)
-        return val
-
-    def line_min(angles, i, fcur):
-        # coarse scan of the full period, then golden-section around the
-        # best sample
-        base = angles[i]
-        step = 2.0 * np.pi / _COARSE
-        vals = [(fcur, base)]
-        for t in range(1, _COARSE):
-            cand = angles.copy()
-            cand[i] = base + t * step
-            vals.append((f(cand), cand[i]))
-        fbest, xbest = min(vals)
-        a, b = xbest - step, xbest + step
-        x1 = b - _GOLD * (b - a)
-        x2 = a + _GOLD * (b - a)
-        c1 = angles.copy()
-        c1[i] = x1
-        f1 = f(c1)
-        c2 = angles.copy()
-        c2[i] = x2
-        f2 = f(c2)
-        for _ in range(_REFINE):
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _GOLD * (b - a)
-                c1[i] = x1
-                f1 = f(c1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _GOLD * (b - a)
-                c2[i] = x2
-                f2 = f(c2)
-        best = min([(fbest, xbest), (f1, x1), (f2, x2)])
-        return best
-
-    class _BudgetExhausted(Exception):
-        pass
-
-    try:
-        for r in range(_RESTARTS + 1):
-            angles = (np.zeros(size) if r == 0
-                      else rng.uniform(0.0, 2.0 * np.pi, size))
-            fcur = f(angles)
-            improved = True
-            while improved:
-                improved = False
-                for i in range(size):
-                    fbest, xbest = line_min(angles, i, fcur)
-                    if fbest < fcur - 1e-15:
-                        angles = angles.copy()
-                        angles[i] = xbest % (2.0 * np.pi)
-                        fcur = fbest
-                        improved = True
-    except _BudgetExhausted:
-        pass
-    val, params, F = state["best"]
+        if best is None or val < best[0]:
+            best = (val, params, F)
+    val, params, F = best
     return params, F, val

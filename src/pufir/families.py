@@ -145,15 +145,6 @@ def rect_widen(F, rho):
     return LaurentPoly(0, g.transpose(0, 2, 1, 3).reshape(len(g), F.p, -1))
 
 
-def _canvas(Fb, Fc, p, m):
-    """Zero (max n, p, m) coefficients for a composition of two inputs.
-
-    Both inputs start at the first block, so the shorter one ends up
-    zero-padded.
-    """
-    return np.zeros((max(Fb.n, Fc.n), p, m), dtype=complex)
-
-
 def compose_diag(Fb, Fc, variant="diag"):
     """Block-diagonal (or anti-diagonal) composition of two polynomials.
 
@@ -162,7 +153,8 @@ def compose_diag(Fb, Fc, variant="diag"):
     """
     if variant not in ("diag", "antidiag"):
         raise ValueError(f"unknown variant {variant!r}")
-    out = _canvas(Fb, Fc, Fb.p + Fc.p, Fb.m + Fc.m)
+    out = np.zeros((max(Fb.n, Fc.n), Fb.p + Fc.p, Fb.m + Fc.m),
+                   dtype=complex)
     # diag: [[B, 0], [0, C]]; antidiag: [[0, B], [C, 0]]
     b0 = 0 if variant == "diag" else Fc.m
     c0 = Fb.m if variant == "diag" else 0
@@ -180,7 +172,7 @@ def compose_mix_rows(Fb, Fc, alpha):
         raise ValueError("alpha must lie in [0, 1]")
     if Fc.m < Fb.m:
         raise ValueError("compose_mix_rows needs m_c >= m_b")
-    out = _canvas(Fb, Fc, Fb.p + Fc.p, Fc.m)
+    out = np.zeros((max(Fb.n, Fc.n), Fb.p + Fc.p, Fc.m), dtype=complex)
     out[:Fb.n, :Fb.p, :Fb.m] = np.sqrt(alpha) * Fb.coeffs
     out[:Fc.n, Fb.p:] = np.sqrt(1.0 - alpha) * Fc.coeffs
     return LaurentPoly(0, out)
@@ -192,7 +184,7 @@ def compose_mix_cols(Fb, Fc, alpha):
         raise ValueError("alpha must lie in [0, 1]")
     if Fb.p < Fc.p:
         raise ValueError("compose_mix_cols needs p_b >= p_c")
-    out = _canvas(Fb, Fc, Fb.p, Fb.m + Fc.m)
+    out = np.zeros((max(Fb.n, Fc.n), Fb.p, Fb.m + Fc.m), dtype=complex)
     out[:Fb.n, :, :Fb.m] = np.sqrt(alpha) * Fb.coeffs
     out[:Fc.n, :Fc.p, Fb.m:] = np.sqrt(1.0 - alpha) * Fc.coeffs
     return LaurentPoly(0, out)

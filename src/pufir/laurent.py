@@ -172,22 +172,15 @@ class LaurentPoly:
     def causality(self):
         """Return (strongest label, set of all applicable causality flags)."""
         q, n = self.q, self.n
-        flags = set()
-        if q <= 0:
-            flags |= {"strictly-causal", "causal"}
-        elif q == 1:
-            flags.add("causal")
-        if q >= n + 1:
-            flags |= {"strictly-anti-causal", "anti-causal"}
-        elif q == n:
-            flags.add("anti-causal")
-        if 2 <= q <= n - 1:
-            flags.add("mixed-Laurent")
-        for label in ("strictly-causal", "strictly-anti-causal",
-                      "causal", "anti-causal", "mixed-Laurent"):
-            if label in flags:
-                return label, flags
-        raise AssertionError("causality flags cannot be empty")
+        # in label priority; for n >= 1 one of q <= 1, q >= n and
+        # 2 <= q <= n - 1 always holds
+        holds = (("strictly-causal", q <= 0),
+                 ("strictly-anti-causal", q >= n + 1),
+                 ("causal", q <= 1),
+                 ("anti-causal", q >= n),
+                 ("mixed-Laurent", 2 <= q <= n - 1))
+        flags = {label for label, ok in holds if ok}
+        return next(label for label, ok in holds if ok), flags
 
     def unitary_defect(self):
         """Worst deviation from (co-)isometry over unit-circle samples.

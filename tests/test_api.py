@@ -7,6 +7,7 @@ from types import ModuleType
 import pytest
 
 import pufir
+from pufir.blaschke import AngleParams, BPProduct, design_optimize
 from pufir.laurent import LaurentPoly
 from pufir.realization import gramian_normalize, gramians
 
@@ -61,3 +62,12 @@ def test_no_side_parameter_or_field():
                                   LaurentPoly.trim])
 def test_fixed_tolerances_take_no_tol(func):
     assert "tol" not in inspect.signature(func).parameters
+
+
+def test_chart_layer_gains_no_knobs():
+    assert tuple(inspect.signature(design_optimize).parameters) == (
+        "objective", "p", "m", "d", "gamma", "budget", "seed")
+    fields = {cls: tuple(f.name for f in dataclasses.fields(cls))
+              for cls in (AngleParams, BPProduct)}
+    assert fields == {AngleParams: ("p", "m", "d", "gamma", "angles"),
+                      BPProduct: ("gamma", "vs", "U")}

@@ -141,6 +141,23 @@ def test_decode_periodicity(rng):
         assert np.max(np.abs(F.eval(z) - G.eval(z))) < 1e-12
 
 
+def test_chart_points_copy_their_arrays():
+    angles = np.zeros(chart_size(2, 2, 1))
+    v, U = E1.copy(), np.eye(2)
+    params, prod = AngleParams(2, 2, 1, 0, angles), BPProduct(0, (v,), U)
+    angles[:], v[:], U[:] = 1.0, 0.0, 0.0
+    assert not params.angles.any()
+    assert np.array_equal(prod.vs[0], E1) and np.array_equal(prod.U, np.eye(2))
+
+
+def test_chart_points_read_only():
+    params = random_params(2, 2, 1, 0, 1)
+    prod = decode_angles(params)
+    for array in (params.angles, prod.U, prod.vs[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_decode_wrong_length():
     with pytest.raises(ValueError):
         AngleParams(2, 2, 2, 0, np.zeros(3))
@@ -199,3 +216,15 @@ def test_optimize_nonidentity_target():
         _, _, val = design_optimize(objective, 2, 2, 1, budget=2000)
         assert values[0] >= 1.0
         assert val <= 1e-3
+
+
+def test_optimize_params_decode_to_result():
+    # the returned chart point is the one that gave F, bit for bit
+    target = random_member(2, 2, 0, seed=100).coeffs[0]
+
+    def objective(F):
+        return float(np.linalg.norm(F.eval(1.0) - target, "fro"))
+
+    params, F, _ = design_optimize(objective, 2, 2, 1, budget=2000)
+    G = synth(decode_angles(params))
+    assert G.q == F.q and np.array_equal(G.coeffs, F.coeffs)

@@ -101,6 +101,10 @@ def test_non_finite_angle_exit(tmp_path, capsys):
     (["sample", "--p", "2", "--m", "2", "--d", "-1"], "d must be >= 0"),
     (["optimize", "--p", "2", "--m", "-3", "--d", "1", "--budget", "9"],
      "m must be >= 1"),
+    (["sample", "--p", "2", "--m", "2", "--d", "1", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["optimize", "--p", "2", "--m", "2", "--d", "1", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
 ])
 def test_shape_argument_exit(capsys, argv, message):
     assert main(argv) == 2
