@@ -56,14 +56,13 @@ def cmd_check(args):
     degree = mcmillan_degree(F)
     result = is_paraunitary_hankel(F, tol)
     sampled = F.unitary_defect()
-    sv = [float(s) for s in hankel_pair(F).H.singular_values()]
     report = {
         "p": F.p, "m": F.m, "q": F.q, "n": F.n,
         "causality": label, "causality_flags": sorted(flags),
         "mcmillan_degree": degree,
         "member": result.member, "role": result.role,
         "residual": result.residual, "sampled_defect": sampled,
-        "hankel_singular_values": sv,
+        "hankel_singular_values": hankel_pair(F).H.singular_values(),
     }
     if result.member:
         d = defect_structure(F, tol)
@@ -73,7 +72,7 @@ def cmd_check(args):
             "delta_psd": d.delta_psd,
             "delta_contraction": d.delta_contraction,
             "delta_projection": d.delta_projection,
-            "delta_eigenvalues": [float(e) for e in d.delta_eigenvalues],
+            "delta_eigenvalues": d.delta_eigenvalues,
         }
     if args.json:
         sys.stdout.write(dumps_json(report))

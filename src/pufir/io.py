@@ -2,7 +2,8 @@
 
 Complex entries are stored as [re, im] pairs; floats serialize with
 Python's shortest round-trip repr, so save/load is bit-exact and the
-output bytes are deterministic.
+output bytes are deterministic.  The text is the standard library's
+indented one (sorted keys, indent 1), produced without its slow encoder.
 """
 from __future__ import annotations
 
@@ -21,14 +22,23 @@ __all__ = [
 ]
 
 
+PIECE_FLOATS = 8192  # array leaves per piece of text, so files stream
+
+
 def complex_pairs(M):
-    """Nested lists of [re, im] float pairs for a complex array."""
-    return np.stack([M.real, M.imag], -1).tolist()
+    """[re, im] pairs of a complex array: a float array, trailing axis 2."""
+    return np.stack([M.real, M.imag], -1)
+
+
+def _poly_fields(F):
+    return {"p": F.p, "m": F.m, "q": F.q, "n": F.n,
+            "coeffs": complex_pairs(F.coeffs)}
 
 
 def poly_to_dict(F):
-    return {"p": F.p, "m": F.m, "q": F.q, "n": F.n,
-            "coeffs": complex_pairs(F.coeffs)}
+    data = _poly_fields(F)
+    data["coeffs"] = data["coeffs"].tolist()
+    return data
 
 
 def _int_field(data, key):
@@ -62,14 +72,66 @@ def poly_from_dict(data):
     return F
 
 
+def _array_pieces(a, level):
+    """Text of a non-empty array of dimension k >= 1 at indent `level`.
+
+    The leaf tokens are the C encoder's.  After a leaf come the closings
+    of the r trailing axes that roll over there, then, unless r = k, a
+    comma and r openings: one table entry per r, indexed with NumPy.
+    """
+    k, flat = a.ndim, a.ravel()
+    pad = ["\n" + " " * (level + j) for j in range(k + 1)]
+    opening = ["".join("[" + pad[j] for j in range(d + 1, k + 1))
+               for d in range(k + 1)]
+    closing = ["".join(pad[j] + "]" for j in range(k - 1, k - 1 - r, -1))
+               for r in range(k + 1)]
+    seps = np.array([closing[r] + "," + pad[k - r] + opening[k - r]
+                     for r in range(k)] + [closing[k]], dtype=object)
+    sizes = np.cumprod(a.shape[::-1])
+    yield opening[0]
+    for start in range(0, flat.size, PIECE_FLOATS):
+        stop = min(start + PIECE_FLOATS, flat.size)
+        rolls = sum(np.arange(start + 1, stop + 1) % n == 0 for n in sizes)
+        tokens = json.dumps(flat[start:stop].tolist())[1:-1].split(", ")
+        yield "".join([t + s for t, s in zip(tokens, seps[rolls].tolist())])
+
+
+def _pieces(value, level):
+    """The text of `value` at indent `level`, in pieces; keys are strings."""
+    if isinstance(value, np.ndarray):
+        if value.ndim and value.size:
+            yield from _array_pieces(value, level)
+            return
+        value = value.tolist()
+    if not (isinstance(value, (dict, list, tuple)) and value):
+        yield json.dumps(value)
+        return
+    pad = "\n" + " " * (level + 1)
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
+    else:
+        brackets, items = "[]", [("", item) for item in value]
+    for i, (key, item) in enumerate(items):
+        yield ("," if i else brackets[0]) + pad + key
+        yield from _pieces(item, level + 1)
+    yield pad[:-1] + brackets[1]
+
+
 def dumps_json(data):
-    """The one JSON text format: sorted keys, one-space indent."""
-    return json.dumps(data, sort_keys=True, separators=(",", ": "),
-                      indent=1) + "\n"
+    """The one JSON text format: sorted keys, one-space indent; arrays
+    are written as their nested lists."""
+    return "".join(_pieces(data, 0)) + "\n"
+
+
+def _write(data, path):
+    with open(path, "w") as fh:
+        fh.writelines(_pieces(data, 0))
+        fh.write("\n")
 
 
 def dumps_poly(F):
-    return dumps_json(poly_to_dict(F))
+    return dumps_json(_poly_fields(F))
 
 
 def loads_poly(text):
@@ -77,8 +139,7 @@ def loads_poly(text):
 
 
 def save_poly(F, path):
-    with open(path, "w") as fh:
-        fh.write(dumps_poly(F))
+    _write(_poly_fields(F), path)
 
 
 def load_poly(path):
@@ -89,7 +150,7 @@ def load_poly(path):
 def angles_to_dict(params):
     return {"side": params.side, "p": params.p, "m": params.m,
             "d": params.d, "gamma": params.gamma,
-            "angles": [float(a) for a in params.angles]}
+            "angles": params.angles.tolist()}
 
 
 def angles_from_dict(data):
@@ -107,8 +168,7 @@ def angles_from_dict(data):
 
 
 def save_angles(params, path):
-    with open(path, "w") as fh:
-        fh.write(dumps_json(angles_to_dict(params)))
+    _write({**angles_to_dict(params), "angles": params.angles}, path)
 
 
 def load_angles(path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -283,6 +285,13 @@ def compose_blocks(Fb, Fc, how, alpha=0.5):
             D = np.hstack([sa * B, right])
         out.append(D)
     return LaurentPoly(0, out)
+
+
+def json_text(data):
+    """The JSON text format as the standard library's indented encoder
+    writes it: sorted keys, one-space indent, a trailing newline."""
+    return json.dumps(data, sort_keys=True, separators=(",", ": "),
+                      indent=1) + "\n"
 
 
 def assert_same_poly(F, G):

@@ -8,6 +8,8 @@ import pytest
 
 import pufir
 from pufir.blaschke import AngleParams, BPProduct, design_optimize
+from pufir.io import (dumps_json, dumps_poly, load_angles, load_poly,
+                      save_angles, save_poly)
 from pufir.laurent import LaurentPoly
 from pufir.realization import gramian_normalize, gramians
 
@@ -71,3 +73,12 @@ def test_chart_layer_gains_no_knobs():
               for cls in (AngleParams, BPProduct)}
     assert fields == {AngleParams: ("p", "m", "d", "gamma", "angles"),
                       BPProduct: ("gamma", "vs", "U")}
+
+
+@pytest.mark.parametrize("func, params", [
+    (dumps_json, ("data",)), (dumps_poly, ("F",)),
+    (save_poly, ("F", "path")), (save_angles, ("params", "path")),
+    (load_poly, ("path",)), (load_angles, ("path",))])
+def test_io_entry_points_gain_no_knobs(func, params):
+    # no indent, piece size or encoder option: one text format
+    assert tuple(inspect.signature(func).parameters) == params

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -8,11 +9,14 @@ import pytest
 from pufir.blaschke import random_member, random_params
 from pufir.cli import main
 from pufir.examples import square_example, wide_example
+from pufir.hankel import DEFAULT_TOL
 from pufir.io import (dumps_poly, load_poly, loads_poly, poly_to_dict,
                       save_angles, save_poly)
-from pufir.laurent import LaurentPoly
+from pufir.laurent import LaurentPoly, constant
+from pufir.realization import (check_unitary_realization, gramian_normalize,
+                               gramians, minimal_realization)
 
-from conftest import random_poly
+from conftest import json_text, random_poly
 
 
 @pytest.fixture
@@ -30,6 +34,19 @@ def test_io_roundtrip_exact(rng):
         assert np.array_equal(B, C)
     # serialization is deterministic
     assert dumps_poly(F) == dumps_poly(G)
+
+
+def test_save_poly_peak_memory_below_file_size(tmp_path):
+    # the text is written in bounded pieces, never held whole
+    F = random_member(32, 16, 128, 64, 0)
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        save_poly(F, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_io_rejects_malformed():
@@ -271,6 +288,16 @@ def test_sample_deterministic(tmp_path):
     assert main(["check", str(a)]) == 0
 
 
+def test_sample_output_bytes(tmp_path, capsys):
+    argv = ["sample", "--p", "16", "--m", "8", "--d", "64", "--gamma", "32"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json_text(poly_to_dict(random_member(16, 8, 64, 32, 0)))
+    path = tmp_path / "sample.json"
+    assert main(argv + ["-o", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
+
+
 def test_family_reverse_roundtrip(tmp_path, wide_file):
     once = tmp_path / "r1.json"
     twice = tmp_path / "r2.json"
@@ -301,6 +328,30 @@ def test_realize_wide(wide_file, capsys):
     wobs = np.array([[complex(re, im) for re, im in row]
                      for row in data["W_obs"]])
     assert np.max(np.abs(wobs - np.diag([1.0, 0.64]))) < 1e-10
+
+
+def complex_pair_lists(M):
+    return [[[z.real, z.imag] for z in row] for row in M.tolist()]
+
+
+@pytest.mark.parametrize("F", [constant(np.array([[0.6, 0.8], [-0.8, 0.6]])),
+                               random_member(3, 2, 4, 0, 5)],
+                         ids=["nu0", "member"])
+def test_realize_json_bytes(tmp_path, capsys, F):
+    path = tmp_path / "poly.json"
+    save_poly(F, path)
+    assert main(["realize", str(path), "--json"]) == 0
+    R = gramian_normalize(minimal_realization(load_poly(path)))
+    label, res_iso, res_coiso = check_unitary_realization(R, DEFAULT_TOL)
+    pair = gramians(R)
+    report = {"nu": R.nu, "classification": label,
+              "residual_isometry": res_iso, "residual_coisometry": res_coiso,
+              "rank_ambiguous": R.rank_ambiguous,
+              **{key: complex_pair_lists(M) for key, M in (
+                  ("A", R.A), ("B", R.B), ("C", R.C), ("D", R.D),
+                  ("W_cont", pair.W_cont), ("W_obs", pair.W_obs))}}
+    assert (R.nu == 0) == (F.n == 1)
+    assert capsys.readouterr().out == json_text(report)
 
 
 def test_verify_examples_cli(capsys):

@@ -1,13 +1,16 @@
 """Property tests: the library's single path for each quantity against the
 independent formulas kept in conftest as oracles."""
+import re
+
 import numpy as np
 from hypothesis import given, strategies as st
 
-from pufir import families
+from pufir import families, io as pio
 from pufir.blaschke import decode_angles, random_member, random_params, synth
 from pufir.hankel import (hankel_anticausal, hankel_causal, hankel_pair,
                           is_paraunitary_hankel, mcmillan_degree)
-from pufir.io import dumps_poly, loads_poly
+from pufir.io import (PIECE_FLOATS, dumps_json, dumps_poly, loads_poly,
+                      save_poly)
 from pufir.laurent import LaurentPoly, constant
 from pufir.realization import (Realization, gramians, minimal_realization,
                                naive_realization, transfer)
@@ -15,7 +18,7 @@ from pufir.realization import (Realization, gramians, minimal_realization,
 from conftest import (add_blocks, assert_same_poly, circle_points,
                       compose_blocks, factor_chain, full_gram_residual,
                       grouped_blocks, hankel_blocks, interleave_blocks,
-                      kron_stein, lag_sum_residual, max_coeff_diff,
+                      json_text, kron_stein, lag_sum_residual, max_coeff_diff,
                       placed_blocks, random_poly, reblock_blocks,
                       sampled_defect, split_terms)
 
@@ -269,6 +272,94 @@ def test_io_roundtrip_bit_exact(F, seed):
     G = loads_poly(dumps_poly(F))
     assert G.q == F.q
     assert G.coeffs.tobytes() == F.coeffs.tobytes()
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                  1.7976931348623157e308]
+json_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+# shapes that span several written pieces, the last one partial
+PIECE_SHAPES = [(2 * PIECE_FLOATS + 5,), (5, 1700, 2), (3, 2, 1500, 2)]
+
+
+@st.composite
+def float_arrays(draw):
+    """Float arrays of 1-4 dimensions, zero-size axes included, with
+    special values at drawn places."""
+    small = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple)
+    shape = draw(st.one_of(small, small, st.sampled_from(PIECE_SHAPES)))
+    rng = np.random.default_rng(draw(seeds))
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = a.reshape(-1)
+    for value in draw(st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=6)):
+        if flat.size:
+            flat[rng.integers(flat.size)] = value
+    return a
+
+
+json_strings = st.text(st.characters() | st.sampled_from(',[]{}"\\'),
+                       max_size=6)
+json_scalars = (st.none() | st.booleans() | json_floats
+                | st.integers(-2 ** 80, 2 ** 80) | json_strings)
+json_values = st.recursive(
+    json_scalars | float_arrays(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=8)
+
+
+def tolist(value):
+    """`value` with every array replaced by its nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: tolist(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [tolist(item) for item in value]
+    return value
+
+
+@given(json_values)
+def test_dumps_json_matches_indented_encoder(value):
+    assert dumps_json(value) == json_text(tolist(value))
+
+
+@given(float_arrays(), st.integers(0, 2))
+def test_dumps_json_array_matches_indented_encoder(a, depth):
+    value = a
+    for _ in range(depth):
+        value = {"x": [value, 1.5], "a": []}
+    assert dumps_json(value) == json_text(tolist(value))
+
+
+def test_save_poly_pieces_join_to_dumps_poly(monkeypatch):
+    class Sink:
+        def __init__(self, path, mode):
+            self.pieces = []
+            sinks.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def writelines(self, pieces):
+            self.pieces.extend(pieces)
+
+        def write(self, text):
+            self.pieces.append(text)
+
+    sinks = []
+    monkeypatch.setattr(pio, "open", Sink, raising=False)
+    for F in (random_member(3, 2, 4, 1, 5), random_member(16, 8, 64, 32, 0)):
+        save_poly(F, "unused.json")
+        pieces = sinks[-1].pieces
+        assert "".join(pieces) == dumps_poly(F)
+        counts = sorted(len(re.findall(r"-?\d[\d.e+-]*", piece))
+                        for piece in pieces)
+        assert counts[-1] <= PIECE_FLOATS
+    # 16 * 8 * 65 * 2 = 16640 floats: two full pieces and a remainder
+    assert counts[-3:] == [256, PIECE_FLOATS, PIECE_FLOATS]
 
 
 @given(polys())
