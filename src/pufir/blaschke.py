@@ -7,6 +7,7 @@ and a derivative-free design optimizer on that chart.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,11 +22,6 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
-
-
-def _check_core_unitary(U):
-    gram = U.conj().T @ U if U.shape[0] >= U.shape[1] else U @ U.conj().T
-    return float(np.abs(gram - np.eye(len(gram))).max())
 
 
 def _frozen(a, dtype):
@@ -60,7 +56,8 @@ class BPProduct:
             raise ValueError(f"factor vectors must live in C^{k}")
         if not np.isfinite(U).all():
             raise ValueError("U must be finite (no NaN or Inf)")
-        if not _check_core_unitary(U) <= _UNIT_TOL:
+        gram = U.conj().T @ U if U.shape[0] >= U.shape[1] else U @ U.conj().T
+        if not np.abs(gram - np.eye(len(gram))).max() <= _UNIT_TOL:
             raise ValueError("U fails the (co)isometry invariant")
         # vdot is no ufunc: a NaN or Inf entry gives a non-finite norm and
         # no floating-point warning
@@ -89,34 +86,34 @@ class BPProduct:
 def synth(prod):
     """Expand the product into a matrix Laurent polynomial.
 
-    One coefficient recursion for every gamma.  The square core
-    z^gamma sum_c z^-c G_c starts from G_0 = I.  A causal factor
-    I + (1/z - 1)P = Q + P/z, with P = vv* and Q = I - P, maps G_c to
-    G_c Q + G_{c-1} P; an anti-causal factor I + (z - 1)P = z(P + Q/z) is
-    the same update with P and Q swapped, its z carried by the shift
-    q = 1 + gamma.  Both are rank-one updates through w_c = G_c v.  Iso
-    products (p >= m) apply the anti-causal factors first and U on the
-    right, co-iso products apply them last and U on the left.
-
-    Result is causal for gamma=0, anti-causal for gamma=d, and always
-    para-unitary on the circle.
+    A co-iso product (p < m) is U C_1 ... C_{d-g} A_1 ... A_g, an iso one
+    A_1 ... A_g C_1 ... C_{d-g} U is built as its transpose: the co-iso
+    form in U^T and the reversed, conjugated vectors.  On p x m blocks,
+    the core z^gamma sum_c z^-c G_c starts from G_0 = U.  A causal factor
+    Q + P/z (P = vv*, Q = I - P) maps G_c to G_c Q + G_{c-1} P; an
+    anti-causal one z(P + Q/z) swaps P and Q, its z carried by
+    q = 1 + gamma.  Both are rank-one updates through w_c = G_c v on the
+    live window: after t factors only G_0 .. G_t are nonzero.  The result
+    is para-unitary on the circle.
     """
-    g, k, iso = prod.gamma, prod.k, prod.p >= prod.m
-    anti = [(v, True) for v in prod.vs[:g]]
-    causal = [(v, False) for v in prod.vs[g:]]
-    G = np.zeros((prod.d + 1, k, k), dtype=complex)
-    G[0] = np.eye(k)
-    for v, is_anti in (anti + causal if iso else causal + anti):
-        w = np.diff(G @ v, axis=0, prepend=0)      # G_c v - G_{c-1} v
+    g, d, iso = prod.gamma, prod.d, prod.p >= prod.m
+    if iso:
+        U, vs = prod.U.T, [v.conj() for v in prod.vs[::-1]]
+    else:
+        U, vs = prod.U, prod.vs[g:] + prod.vs[:g]
+    G = np.zeros((d + 1,) + U.shape, dtype=complex)
+    G[0] = U
+    for t, v in enumerate(vs):
+        win = G[:t + 2]
+        w = (win.reshape(-1, v.size) @ v).reshape(t + 2, -1)
+        w[1:] -= w[:-1]                             # G_c v - G_{c-1} v
         step = w[:, :, None] * v.conj()
-        if is_anti:
-            G[1:] = G[:-1]
-            G[0] = 0
-            G += step
-        else:
-            G -= step
-    coeffs = G @ prod.U if iso else prod.U @ G
-    return LaurentPoly(g + 1, coeffs)
+        if t >= d - g:                      # anti-causal: shift, then add
+            win[1:] = win[:-1]
+            win[0] = 0
+            step = -step
+        win -= step
+    return LaurentPoly(g + 1, G.transpose(0, 2, 1) if iso else G)
 
 
 def _chart_k(p, m, d):
@@ -177,42 +174,39 @@ def chart_size(p, m, d):
 
 def _sphere_vector(angles, k):
     """Unit vector in C^k from k-1 magnitude angles and k phases."""
-    mags = angles[:k - 1]
-    phases = angles[k - 1:]
-    x = np.empty(k)
-    s = 1.0
-    for i in range(k - 1):
-        x[i] = s * math.cos(mags[i])
-        s *= math.sin(mags[i])
-    x[k - 1] = s
-    return x * np.exp(1j * phases)
+    v, s = [], 1.0
+    for a, phase in zip(angles[:k - 1], angles[k - 1:]):
+        v.append(s * math.cos(a) * cmath.exp(1j * phase))
+        s *= math.sin(a)
+    v.append(s * cmath.exp(1j * angles[-1]))
+    return np.array(v)
 
 
 def _unitary_from_angles(angles, k):
-    """k x k unitary: diagonal phases times a product of Givens rotations."""
-    W = np.diag(np.exp(1j * angles[:k])).astype(complex)
-    pos = k
+    """k x k unitary: diagonal phases times a product of Givens rotations,
+    each applied to the two columns it mixes (lists of complex numbers)."""
+    cols = [[cmath.exp(1j * angles[i]) if r == i else 0j for r in range(k)]
+            for i in range(k)]
+    rotations = zip(angles[k::2], angles[k + 1::2])
     for i in range(k):
         for j in range(i + 1, k):
-            theta, psi = angles[pos], angles[pos + 1]
-            pos += 2
-            G = np.eye(k, dtype=complex)
+            theta, psi = next(rotations)
             c, s = math.cos(theta), math.sin(theta)
-            G[i, i] = c
-            G[j, j] = c
-            G[i, j] = -np.exp(-1j * psi) * s
-            G[j, i] = np.exp(1j * psi) * s
-            W = W @ G
-    return W
+            e, f = s * cmath.exp(1j * psi), -s * cmath.exp(-1j * psi)
+            a, b = cols[i], cols[j]
+            cols[i] = [c * x + e * y for x, y in zip(a, b)]
+            cols[j] = [f * x + c * y for x, y in zip(a, b)]
+    return np.array(cols).T
 
 
 def decode_angles(params):
     """Map a chart point to a valid BPProduct (always succeeds)."""
     k = max(params.p, params.m)
     per = 2 * k - 1
-    vs = [_sphere_vector(params.angles[j * per:(j + 1) * per], k)
+    angles = params.angles.tolist()
+    vs = [_sphere_vector(angles[j * per:(j + 1) * per], k)
           for j in range(params.d)]
-    W = _unitary_from_angles(params.angles[params.d * per:], k)
+    W = _unitary_from_angles(angles[params.d * per:], k)
     return BPProduct(params.gamma, tuple(vs), W[:params.p, :params.m])
 
 

@@ -57,12 +57,27 @@ def _numbers(values, key):
     return values
 
 
+def _complex_block(B):
+    """A complex matrix from rows of [re, im] pairs of JSON numbers, one
+    block at a time: freeing temporaries as large as all coefficients
+    raises glibc's mmap threshold and leaves later arrays resident."""
+    b = np.array(B, dtype=object)
+    if (b.ndim == 3 and b.shape[2] == 2
+            and set(map(type, b.flat)) <= {int, float}):
+        return b.astype(float).view(complex)[..., 0]
+    if b.ndim > 1:      # refuse the first entry that is no [re, im] pair
+        for pair in b.reshape(b.shape[0] * b.shape[1], *b.shape[2:]).tolist():
+            re, im = _numbers(pair, "coeffs")
+    if b.size:
+        raise ValueError("field 'coeffs' must be a list of matrices of "
+                         "[re, im] pairs")
+    return b.astype(complex)    # empty: LaurentPoly names what is missing
+
+
 def poly_from_dict(data):
     try:
         q = _int_field(data, "q")
-        coeffs = [np.array([[complex(re, im) for re, im in
-                             (_numbers(pair, "coeffs") for pair in row)]
-                            for row in B]) for B in data["coeffs"]]
+        coeffs = [_complex_block(B) for B in data["coeffs"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed polynomial data: {exc}") from exc
     F = LaurentPoly(q, coeffs)

@@ -65,6 +65,35 @@ def factor_chain(prod):
     return out
 
 
+def sphere_point(angles, k):
+    """Unit vector in C^k: magnitudes cos a_0, sin a_0 cos a_1, ...,
+    sin a_0 ... sin a_{k-2} from the first k-1 angles, then k phases."""
+    angles = np.asarray(angles)
+    sines = np.concatenate([[1.0], np.cumprod(np.sin(angles[:k - 1]))])
+    mags = sines * np.concatenate([np.cos(angles[:k - 1]), [1.0]])
+    return mags * np.exp(1j * angles[k - 1:])
+
+
+def givens_chain(angles, k):
+    """k x k unitary diag(e^{i a_0}, ..., e^{i a_{k-1}}) G_01 ... G_{k-2,k-1}
+    as a product of dense matrices: G_ij is the identity except for
+    c, -e^{-i psi}s in row i and e^{i psi}s, c in row j, c = cos theta and
+    s = sin theta, with (theta, psi) the next two angles."""
+    W = np.diag(np.exp(1j * np.asarray(angles[:k]))).astype(complex)
+    pos = k
+    for i in range(k):
+        for j in range(i + 1, k):
+            theta, psi = angles[pos], angles[pos + 1]
+            pos += 2
+            G = np.eye(k, dtype=complex)
+            c, s = np.cos(theta), np.sin(theta)
+            G[i, i] = G[j, j] = c
+            G[i, j] = -np.exp(-1j * psi) * s
+            G[j, i] = np.exp(1j * psi) * s
+            W = W @ G
+    return W
+
+
 def product_forms(prod):
     """Evaluators of the three equivalent forms of the BP product.
 

@@ -108,6 +108,18 @@ def test_expand_matches_synth(rng):
         assert np.max(np.abs(F.eval(1.0) - prod.U)) < 1e-11
 
 
+@pytest.mark.parametrize("p, m, d, gamma", [
+    (6, 3, 40, 0), (6, 3, 40, 17), (6, 3, 40, 40),
+    (3, 6, 40, 0), (3, 6, 40, 17), (3, 6, 40, 40),
+    (6, 3, 0, 0), (3, 6, 0, 0),
+])
+def test_synth_long_windows(p, m, d, gamma):
+    # beyond the property tests' d <= 6: a live coefficient window of up
+    # to 41 blocks and anti-causal runs of up to 40 factors
+    prod = decode_angles(random_params(p, m, d, gamma, seed=100 + gamma))
+    assert max_coeff_diff(synth(prod), factor_chain(prod)) <= 1e-14
+
+
 def test_param_count_values():
     assert param_count(1, 1, 0) == 1
     assert param_count(1, 1, 4) == 1

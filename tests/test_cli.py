@@ -204,6 +204,47 @@ def test_non_number_coefficient_exit(tmp_path, capsys, entry):
     assert captured.out == "" and "field 'coeffs'" in captured.err
 
 
+NUMBERS = "field 'coeffs' must be a list of numbers"
+MATRICES = "field 'coeffs' must be a list of matrices of [re, im] pairs"
+
+
+@pytest.mark.parametrize("path, entry, message", [
+    pytest.param((0, 1, 1), [None, 0.0], NUMBERS, id="null"),
+    pytest.param((2, 1, 0), 1.0, NUMBERS, id="no-pair"),
+    pytest.param((1, 0, 1), [1.0],
+                 "not enough values to unpack (expected 2, got 1)",
+                 id="short-pair"),
+    pytest.param((0, 1, 0), [1.0, 2.0, 3.0],
+                 "too many values to unpack (expected 2)", id="long-pair"),
+    pytest.param((1, 0, 0), [10 ** 400, 0.0],
+                 "int too large to convert to float", id="huge"),
+    pytest.param((1, 1), [[0.0, 0.0]], MATRICES, id="ragged-row"),
+    pytest.param((2,), 1, MATRICES, id="no-matrix"),
+])
+def test_coefficient_refusal_messages(path, entry, message):
+    # the first entry that is no [re, im] pair of numbers is named
+    data = poly_to_dict(square_example(1))
+    *outer, last = ("coeffs",) + path
+    target = data
+    for key in outer:
+        target = target[key]
+    target[last] = entry
+    with pytest.raises(ValueError) as info:
+        loads_poly(json.dumps(data))
+    assert str(info.value) == "malformed polynomial data: " + message
+
+
+def test_load_poly_bit_exact():
+    # signed zeros, integers and shortest reprs come back bit for bit
+    C = np.array(random_member(3, 2, 4, 1, seed=5).coeffs)
+    C[0, 0, 0], C[1, 1, 1] = -0.0 - 0.0j, 3 + 0j
+    data = poly_to_dict(LaurentPoly(2, C))
+    data["coeffs"][2][0][1] = [1, -2]
+    C[2, 0, 1] = 1 - 2j
+    F = loads_poly(json.dumps(data))
+    assert F.coeffs.tobytes() == C.tobytes()
+
+
 def test_memory_error_exit(tmp_path, monkeypatch, capsys):
     # a huge delay asks for a Hankel matrix of 10^6 x 10^6 blocks; the
     # build is replaced by one that fails, so nothing is allocated

@@ -17,10 +17,11 @@ from pufir.realization import (Realization, gramians, minimal_realization,
 
 from conftest import (add_blocks, assert_same_poly, circle_points,
                       compose_blocks, factor_chain, full_gram_residual,
-                      grouped_blocks, hankel_blocks, interleave_blocks,
-                      json_text, kron_stein, lag_sum_residual, max_coeff_diff,
-                      placed_blocks, random_poly, reblock_blocks,
-                      sampled_defect, split_terms)
+                      givens_chain, grouped_blocks, hankel_blocks,
+                      interleave_blocks, json_text, kron_stein,
+                      lag_sum_residual, max_coeff_diff, placed_blocks,
+                      random_poly, reblock_blocks, sampled_defect,
+                      sphere_point, split_terms)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -46,6 +47,21 @@ def products(draw):
 @given(products())
 def test_synth_matches_factor_chain(prod):
     assert max_coeff_diff(synth(prod), factor_chain(prod)) <= 1e-14
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3), seeds,
+       st.data())
+def test_decode_matches_givens_chain(p, m, d, seed, data):
+    # k = 1 has no rotation and no magnitude angle
+    params = random_params(p, m, d, data.draw(st.integers(0, d)), seed)
+    prod = decode_angles(params)
+    k = max(p, m)
+    per = 2 * k - 1
+    core = givens_chain(params.angles[d * per:], k)
+    assert np.abs(prod.U - core[:p, :m]).max() <= 1e-14
+    for j, v in enumerate(prod.vs):
+        point = sphere_point(params.angles[j * per:(j + 1) * per], k)
+        assert np.abs(v - point).max() <= 1e-14
 
 
 @given(products(), st.sampled_from([0.0, 1e-6, 1e-2, 1.0]), seeds,
@@ -99,6 +115,29 @@ def test_degree_law(prod):
     scalar = prod.p == prod.m == 1
     assert mcmillan_degree(F) == (abs(prod.d - 2 * prod.gamma) if scalar
                                   else prod.d)
+
+
+@st.composite
+def normalized_members(draw):
+    """q = 0 normalizations of random_member draws with p, m in [1, 4],
+    d in [0, 4] and gamma in {0, 1, d}."""
+    p, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    d = draw(st.integers(0, 4))
+    gamma = draw(st.sampled_from(sorted({0, min(1, d), d})))
+    F = random_member(p, m, d, gamma, draw(seeds))
+    return F.shift(-F.q)
+
+
+@given(normalized_members(), st.sampled_from([2, 3]))
+def test_dilate_degree_law(F, a):
+    assert mcmillan_degree(families.dilate(F, 0, a)) == a * mcmillan_degree(F)
+
+
+@given(normalized_members(), normalized_members(),
+       st.sampled_from(["diag", "antidiag"]))
+def test_compose_diag_degree_law(F, G, variant):
+    assert (mcmillan_degree(families.compose_diag(F, G, variant))
+            == mcmillan_degree(F) + mcmillan_degree(G))
 
 
 @given(members(), seeds)
