@@ -3,7 +3,7 @@
 Finite products of the degree-one factors I + (z-1)vv* (anti-causal) and
 I + (1/z-1)vv* (causal) with a constant (co)isometry, expansion into
 Laurent-polynomial coefficients, the real-angle chart over the product set
-and a derivative-free design optimizer on that chart.
+and a least-squares (Levenberg-Marquardt) design search on that chart.
 """
 from __future__ import annotations
 
@@ -228,89 +228,66 @@ def random_member(p, m, d, gamma=0, seed=None):
     return synth(decode_angles(random_params(p, m, d, gamma, seed)))
 
 
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-# random restarts after the start at the chart origin, samples of the
-# coarse scan over one period, golden-section steps per coordinate
-_RESTARTS, _COARSE, _REFINE = 3, 8, 16
+# central-difference step (about the cube root of the float epsilon), the
+# residual norm taken as rounding, the first damping and the damping at
+# which a run has stalled, both relative to the largest diagonal of J^T J
+_STEP, _ROUNDING, _DAMP, _STALL = 6e-6, 1e-13, 1e-3, 1e8
 
 
-def _descent(size, rng):
-    """Coordinate descent from the chart origin, then seeded restarts.
+def design_optimize(residual, p, m, d, gamma=0, budget=5000, seed=0):
+    """Least-squares design over the angle chart (Levenberg-Marquardt).
 
-    A generator: yields candidate angle vectors and receives their
-    objective values; it ends when every restart has converged.
-    """
-    for r in range(_RESTARTS + 1):
-        angles = (np.zeros(size) if r == 0
-                  else rng.uniform(0.0, 2.0 * np.pi, size))
-        fcur = yield angles
-        improved = True
-        while improved:
-            improved = False
-            for i in range(size):
-                fbest, xbest = yield from _line_min(angles, i, fcur)
-                if fbest < fcur - 1e-15:
-                    angles = angles.copy()
-                    angles[i] = xbest % (2.0 * np.pi)
-                    fcur = fbest
-                    improved = True
+    Minimizes the norm of residual(F), an array for each member F, by
+    damped Gauss-Newton steps on its real and imaginary parts with a
+    central-difference Jacobian.  The chart has flat directions, so the
+    damping is a multiple of the identity.  The first run starts at the
+    chart origin; a run whose damping passes _STALL has stalled, and the
+    next starts at a seeded uniform chart point.  `budget` counts every
+    evaluation, Jacobian probes included, and the search stops once the
+    residual norm is at rounding level.  Every candidate decodes to a
+    member of the class by construction.
 
-
-def _line_min(angles, i, fcur):
-    """Coarse scan of coordinate i over one period, then golden-section
-    refinement around the best sample; returns (value, coordinate)."""
-    def at(x):
-        cand = angles.copy()
-        cand[i] = x
-        return cand
-
-    base = angles[i]
-    step = 2.0 * np.pi / _COARSE
-    vals = [(fcur, base)]
-    for t in range(1, _COARSE):
-        x = base + t * step
-        vals.append(((yield at(x)), x))
-    fbest, xbest = min(vals)
-    a, b = xbest - step, xbest + step
-    x1 = b - _GOLD * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1 = yield at(x1)
-    f2 = yield at(x2)
-    for _ in range(_REFINE):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLD * (b - a)
-            f1 = yield at(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (b - a)
-            f2 = yield at(x2)
-    return min([(fbest, xbest), (f1, x1), (f2, x2)])
-
-
-def design_optimize(objective, p, m, d, gamma=0, budget=5000, seed=0):
-    """Derivative-free design over the angle chart.
-
-    Coordinate descent with a coarse periodic scan followed by a
-    golden-section refinement on each coordinate, restarted from seeded
-    random chart points.  `budget` counts objective evaluations; every
-    candidate decodes to a member of the class by construction.
-
-    Returns (best AngleParams, best LaurentPoly, best value).
+    Returns (best AngleParams, best LaurentPoly, best value), the value
+    being float(np.linalg.norm(residual(F))).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    search = _descent(chart_size(p, m, d), _rng(seed))
-    best, val = None, None
-    for _ in range(budget):
-        try:
-            angles = search.send(val)
-        except StopIteration:
-            break
+    size = chart_size(p, m, d)
+    rng = _rng(seed)
+    best, spent = None, 0
+
+    def evaluate(angles):
+        nonlocal best, spent
+        spent += 1
         params = AngleParams(p, m, d, gamma, angles)
         F = synth(decode_angles(params))
-        val = float(objective(F))
-        if best is None or val < best[0]:
-            best = (val, params, F)
-    val, params, F = best
-    return params, F, val
+        r = np.asarray(residual(F))
+        value = float(np.linalg.norm(r))
+        if best is None or value < best[2]:
+            best = (params, F, value)
+        return np.concatenate([r.real.ravel(), r.imag.ravel()]), value
+
+    x = np.zeros(size)
+    r, value = evaluate(x)
+    damp, J = _DAMP, None
+    while best[2] > _ROUNDING and spent < budget:
+        if damp > _STALL:
+            x = rng.uniform(0.0, 2.0 * np.pi, size)
+            (r, value), damp, J = evaluate(x), _DAMP, None
+        elif J is None:
+            if spent + 2 * size >= budget:
+                break
+            J = np.stack([evaluate(x + h)[0] - evaluate(x - h)[0]
+                          for h in _STEP * np.eye(size)], axis=1)
+            J /= 2.0 * _STEP
+            A, g = J.T @ J, J.T @ r
+            scale = float(A.diagonal().max()) or 1.0
+        else:
+            trial = x + np.linalg.solve(A + damp * scale * np.eye(size), -g)
+            r_new, v_new = evaluate(trial)
+            if v_new < value:
+                x, r, value, J = trial, r_new, v_new, None
+                damp /= 3.0
+            else:
+                damp *= 4.0
+    return best

@@ -172,10 +172,10 @@ def cmd_realize(args):
 
 
 def cmd_optimize(args):
-    def objective(F):
-        return float(np.linalg.norm(F.eval(1.0) - np.eye(F.p, F.m), "fro"))
+    def residual(F):
+        return F.eval(1.0) - np.eye(F.p, F.m)
 
-    params, F, value = design_optimize(objective, args.p, args.m, args.d,
+    params, F, value = design_optimize(residual, args.p, args.m, args.d,
                                        args.gamma, args.budget,
                                        seed=args.seed)
     report = {"value": value, "angles": angles_to_dict(params),

@@ -167,7 +167,6 @@ class DefectReport:
     role: str
     zero_block_ok: bool
     coupling_ok: bool
-    delta: np.ndarray
     delta_eigenvalues: np.ndarray
     delta_psd: bool
     delta_contraction: bool
@@ -205,5 +204,5 @@ def defect_structure(F, tol=DEFAULT_TOL):
     contraction = bool(eigs.size == 0 or eigs.max() <= 1.0 + tol)
     projection = bool(p == m and
                       np.all(np.minimum(np.abs(eigs), np.abs(eigs - 1)) <= tol))
-    return DefectReport(role, zero_ok, coupling <= tol, delta, eigs,
+    return DefectReport(role, zero_ok, coupling <= tol, eigs,
                         psd, contraction, projection)

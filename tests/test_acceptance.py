@@ -213,11 +213,11 @@ def test_criterion_9_optimization():
     defects = []
     target = np.eye(3)
 
-    def objective(F):
+    def residual(F):
         defects.append(F.unitary_defect())
-        return float(np.linalg.norm(F.eval(1.0) - target, "fro"))
+        return F.eval(1.0) - target
 
-    _, F, val = design_optimize(objective, 3, 3, 2, budget=5000)
+    _, F, val = design_optimize(residual, 3, 3, 2, budget=5000)
     ok = (val < 1e-6 and len(defects) <= 5000
           and max(defects) < 1e-10)
     report(9, ok, f"value {val:.2e} in {len(defects)} evaluations, "

@@ -68,7 +68,7 @@ def test_fixed_tolerances_take_no_tol(func):
 
 def test_chart_layer_gains_no_knobs():
     assert tuple(inspect.signature(design_optimize).parameters) == (
-        "objective", "p", "m", "d", "gamma", "budget", "seed")
+        "residual", "p", "m", "d", "gamma", "budget", "seed")
     fields = {cls: tuple(f.name for f in dataclasses.fields(cls))
               for cls in (AngleParams, BPProduct)}
     assert fields == {AngleParams: ("p", "m", "d", "gamma", "angles"),

@@ -122,6 +122,10 @@ def test_non_finite_angle_exit(tmp_path, capsys):
      "seed must be >= 0, got -1"),
     (["optimize", "--p", "2", "--m", "2", "--d", "1", "--seed", "-1"],
      "seed must be >= 0, got -1"),
+    (["optimize", "--p", "2", "--m", "2", "--d", "1", "--budget", "0"],
+     "budget must be >= 1"),
+    (["optimize", "--p", "2", "--m", "2", "--d", "1", "--budget", "-5"],
+     "budget must be >= 1"),
 ])
 def test_shape_argument_exit(capsys, argv, message):
     assert main(argv) == 2

@@ -159,8 +159,8 @@ def test_defect_structure_wide_example():
     rep = defect_structure(wide_example(0))
     assert rep.role == "co-isometry"
     assert rep.zero_block_ok and rep.coupling_ok
-    assert rep.delta.shape == (1, 1)
-    assert abs(rep.delta[0, 0] - 0.36) < 1e-12
+    assert rep.delta_eigenvalues.shape == (1,)
+    assert abs(rep.delta_eigenvalues[0] - 0.36) < 1e-12
     assert rep.delta_psd and rep.delta_contraction
     assert not rep.delta_projection
 
@@ -176,7 +176,7 @@ def test_defect_structure_square_projection():
 def test_defect_structure_empty_delta():
     U = np.fft.fft(np.eye(2)) / np.sqrt(2)
     rep = defect_structure(LaurentPoly(0, [U]))
-    assert rep.delta.shape == (0, 0)
+    assert rep.delta_eigenvalues.shape == (0,)
 
 
 def test_defect_structure_requires_member():

@@ -117,6 +117,16 @@ def test_degree_law(prod):
                                   else prod.d)
 
 
+@given(st.integers(1, 4), st.integers(0, 6), st.booleans(), seeds)
+def test_square_degree_is_weighted_coefficient_energy(p, d, anticausal, seed):
+    # a square member with gamma in {0, d} has Hankel singular values 0 or
+    # 1, so sum_j |q - j| ||B_j||_F^2 checks the rank decision without an SVD
+    F = random_member(p, p, d, d if anticausal else 0, seed)
+    weights = np.abs(F.q - np.arange(1, F.n + 1))
+    energy = weights @ np.sum(np.abs(F.coeffs) ** 2, axis=(1, 2))
+    assert abs(energy - mcmillan_degree(F)) < 1e-12
+
+
 @st.composite
 def normalized_members(draw):
     """q = 0 normalizations of random_member draws with p, m in [1, 4],
