@@ -8,6 +8,7 @@ the default tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -194,6 +195,7 @@ def cmd_verify_examples(args):
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pufir",
@@ -201,25 +203,20 @@ def build_parser():
                     "FIR systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("check", cmd_check, help="membership and structure report")
+    sp = sub.add_parser("check", help="membership and structure report")
     sp.add_argument("file")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--json", action="store_true")
 
-    sp = add("degree", cmd_degree, help="McMillan degree")
+    sp = sub.add_parser("degree", help="McMillan degree")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
 
-    sp = add("synth", cmd_synth, help="synthesize from an angle file")
+    sp = sub.add_parser("synth", help="synthesize from an angle file")
     sp.add_argument("file")
     sp.add_argument("-o", "--output", default=None)
 
-    sp = add("sample", cmd_sample, help="random member")
+    sp = sub.add_parser("sample", help="random member")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
@@ -227,7 +224,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output", default=None)
 
-    sp = add("family", cmd_family, help="apply a family construction")
+    sp = sub.add_parser("family", help="apply a family construction")
     sp.add_argument("construction",
                     choices=["reverse", "reblock", "dilate", "stack",
                              "widen", "compose", "mix-rows", "mix-cols",
@@ -243,13 +240,13 @@ def build_parser():
                     default="diag")
     sp.add_argument("-o", "--output", default=None)
 
-    sp = add("realize", cmd_realize, help="minimal normalized realization")
+    sp = sub.add_parser("realize", help="minimal normalized realization")
     sp.add_argument("file")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--json", action="store_true")
 
-    sp = add("optimize", cmd_optimize,
-             help="design toward F(1) = I over the angle chart")
+    sp = sub.add_parser("optimize",
+                        help="design toward F(1) = I over the angle chart")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
@@ -257,17 +254,18 @@ def build_parser():
     sp.add_argument("--budget", type=int, default=5000)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("verify-examples", cmd_verify_examples,
-             help="reproduce the embedded reference examples")
+    sp = sub.add_parser("verify-examples",
+                        help="reproduce the embedded reference examples")
     sp.add_argument("--tol", type=float, default=None)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up when called, so a rebound cmd_* takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError,
             ZeroDivisionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

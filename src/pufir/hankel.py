@@ -1,9 +1,9 @@
 """Block-Hankel matrices of FIR systems.
 
-Builds the Hankel matrices attached to the strictly causal / strictly
-anti-causal parts of a matrix Laurent polynomial, extracts the McMillan
-degree from their ranks, and runs the Hankel-based para-unitarity test
-together with the structure of its defect.
+Builds the Hankel matrices of the strictly causal / strictly anti-causal
+parts of a matrix Laurent polynomial and the McMillan degree from their
+ranks; the para-unitarity test and its defect structure read the Gram of
+H_0 off the coefficient blocks, as lag sums and block products.
 """
 from __future__ import annotations
 
@@ -138,27 +138,28 @@ class ParaunitaryResult:
     role: str                 # "isometry" or "co-isometry"
 
 
-def _normalized_h0(F):
-    """H_0: the Hankel of the q = 0 normalization, without padding."""
-    return hankel_causal(F.shift(-F.q)).data
+def _blocks(F):
+    """Role and blocks C_j = B_j (B_j* if co-iso), shape (n, k, s): H_0*H_0
+    (H_0H_0*) has block (u, v) = sum_i C_{u+i}* C_{v+i}, s = min(p, m)."""
+    if F.p >= F.m:
+        return "isometry", F.coeffs
+    return "co-isometry", F.coeffs.conj().transpose(0, 2, 1)
 
 
 def is_paraunitary_hankel(F, tol=DEFAULT_TOL):
     """Membership test for the para-unitary class via the Hankel matrix.
 
-    Only the first block column of I - H_0*H_0 (first block row of
-    I - H_0H_0* for co-isometries) is formed; its blocks are the
-    coefficient lag sums sum_j B_{j+k}*B_j - delta_k I.
+    H_0 is the Hankel of the q = 0 normalization.  F is a member iff the
+    first block column of I - H_0*H_0 (first block row of I - H_0H_0* for
+    co-isometries), the lag sums sum_j C_{j+k}* C_j - delta_k I, vanishes.
     """
-    A = _normalized_h0(F)
-    if F.p >= F.m:
-        role, s = "isometry", F.m
-        gram = A[:, :s].conj().T @ A
-    else:
-        role, s = "co-isometry", F.p
-        gram = A[:s, :] @ A.conj().T
-    gram[:, :s] -= np.eye(s)
-    res = float(np.max(np.abs(gram)))
+    role, C = _blocks(F)
+    n, k, s = C.shape
+    S = C.reshape(n * k, s)             # C_1 ... C_n stacked
+    S_h = S.conj().T
+    lags = [S_h[:, lag * k:] @ S[:(n - lag) * k] for lag in range(n)]
+    lags[0] -= np.eye(s)
+    res = max(float(np.max(np.abs(L))) for L in lags)
     return ParaunitaryResult(res <= tol, res, role)
 
 
@@ -174,21 +175,22 @@ class DefectReport:
 
 
 def defect_structure(F, tol=DEFAULT_TOL):
-    """Structure of I - H*H (or I - HH*) for a para-unitary polynomial.
+    """Structure of I - H_0*H_0 (or I - H_0H_0*) for a para-unitary F.
 
-    The leading block must vanish together with its couplings; the trailing
-    block Delta is reported with its PSD / weak-contraction classification
-    and, in the square case, whether it is an orthogonal projection.
+    The Gram comes from coefficient block products.  Its leading block
+    must vanish together with its couplings; the trailing block Delta is
+    reported with its PSD / weak-contraction classification and, in the
+    square case, whether it is an orthogonal projection.
     """
-    A = _normalized_h0(F)
-    p, m = F.p, F.m
-    if p >= m:
-        role, s = "isometry", m
-        X = np.eye(F.n * m) - A.conj().T @ A
-    else:
-        role, s = "co-isometry", p
-        X = np.eye(F.n * p) - A @ A.conj().T
-    del A       # H_0 is the largest array; free it before the eigen-solve
+    role, C = _blocks(F)
+    n, k, s = C.shape
+    rows = C.transpose(1, 0, 2).reshape(k, n * s)
+    X = rows.conj().T @ rows            # every K(u, v) = C_u* C_v
+    blocks = X.reshape(n, s, n, s)
+    for u in range(n - 2, -1, -1):      # G(u, v) = K(u, v) + G(u+1, v+1)
+        blocks[u, :, :-1] += blocks[u + 1, :, 1:]
+    np.negative(X, out=X)
+    X.flat[::n * s + 1] += 1.0          # X = I - G
     # the membership residual of is_paraunitary_hankel, read off X
     residual = float(np.max(np.abs(X[:s])))
     if residual > tol:
@@ -197,12 +199,11 @@ def defect_structure(F, tol=DEFAULT_TOL):
     zero_ok = float(np.max(np.abs(X[:s, :s]))) <= tol
     coupling = max(float(np.max(np.abs(X[:s, s:]), initial=0.0)),
                    float(np.max(np.abs(X[s:, :s]), initial=0.0)))
-    delta = X[s:, s:]
-    herm = (delta + delta.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(herm) if herm.size else np.zeros(0)
+    delta = X[s:, s:]       # Hermitian: eigvalsh reads its lower triangle
+    eigs = np.linalg.eigvalsh(delta) if delta.size else np.zeros(0)
     psd = bool(eigs.size == 0 or eigs.min() >= -tol)
     contraction = bool(eigs.size == 0 or eigs.max() <= 1.0 + tol)
-    projection = bool(p == m and
+    projection = bool(F.p == F.m and
                       np.all(np.minimum(np.abs(eigs), np.abs(eigs - 1)) <= tol))
     return DefectReport(role, zero_ok, coupling <= tol, eigs,
                         psd, contraction, projection)

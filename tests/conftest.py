@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pufir.hankel import hankel_causal
+from pufir.hankel import DefectReport, hankel_causal
 from pufir.laurent import LaurentPoly, zero
 
 # Property tests draw the same examples on every run and are never timed
@@ -160,14 +160,37 @@ def lag_sum_residual(F):
     return res
 
 
-def full_gram_residual(F):
-    """First block column of the full Gram I - H_0*H_0 (or I - H_0H_0*)."""
+def dense_gram(F):
+    """s = min(p, m) and the dense I - H_0*H_0 (I - H_0H_0* for wide F),
+    H_0 the Hankel of the q = 0 normalization."""
     A = hankel_causal(F.shift(-F.q)).data
     if F.p >= F.m:
-        G = np.eye(F.n * F.m) - A.conj().T @ A
-        return float(np.max(np.abs(G[:, :F.m])))
-    G = np.eye(F.n * F.p) - A @ A.conj().T
-    return float(np.max(np.abs(G[:F.p, :])))
+        return F.m, np.eye(F.n * F.m) - A.conj().T @ A
+    return F.p, np.eye(F.n * F.p) - A @ A.conj().T
+
+
+def full_gram_residual(F):
+    """First block column of the full Gram I - H_0*H_0 (or I - H_0H_0*)."""
+    s, X = dense_gram(F)
+    lead = X[:, :s] if F.p >= F.m else X[:s]
+    return float(np.max(np.abs(lead)))
+
+
+def dense_defect(F, tol):
+    """The defect structure of a member read off the dense Gram X: the
+    leading block and its couplings against tol, and eigvalsh of the
+    symmetrized trailing block Delta with its classification."""
+    s, X = dense_gram(F)
+    coupling = max(float(np.max(np.abs(X[:s, s:]), initial=0.0)),
+                   float(np.max(np.abs(X[s:, :s]), initial=0.0)))
+    delta = X[s:, s:]
+    eigs = np.linalg.eigvalsh((delta + delta.conj().T) / 2.0)
+    near = np.minimum(np.abs(eigs), np.abs(eigs - 1))
+    return DefectReport(
+        "isometry" if F.p >= F.m else "co-isometry",
+        float(np.max(np.abs(X[:s, :s]))) <= tol, coupling <= tol, eigs,
+        bool(np.all(eigs >= -tol)), bool(np.all(eigs <= 1.0 + tol)),
+        bool(F.p == F.m and np.all(near <= tol)))
 
 
 def kron_stein(A, RHS):

@@ -304,10 +304,27 @@ def test_check_member_runs_membership_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "member.json"
     save_poly(random_member(4, 2, 6, 0, seed=3), path)
     assert main(["check", str(path)]) == 0
-    # degree, membership, singular values and the defect Gram: one build
-    # each, and no second membership test inside defect_structure
-    assert calls == {"hankel_causal": 4, "is_paraunitary_hankel": 1}
+    # one build each for the degree and the singular values; membership
+    # and the defect Gram read the coefficients, and defect_structure runs
+    # no second membership test
+    assert calls == {"hankel_causal": 2, "is_paraunitary_hankel": 1}
     assert "defect structure" in capsys.readouterr().out
+
+
+def test_repeated_main_gives_same_bytes(wide_file, capsys):
+    # the parser is built once per process; a usage error in between
+    # leaves the next call's output unchanged
+    outputs = []
+    for _ in range(2):
+        assert main(["check", wide_file, "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", wide_file, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["check", wide_file, "--json"]) == 0
+    outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs.count(outputs[0]) == 3
 
 
 def test_degree(wide_file, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,38 @@ def test_defect_structure_empty_delta():
 def test_defect_structure_requires_member():
     with pytest.raises(ValueError):
         defect_structure(LaurentPoly(0, [np.diag([1.0, 0.0])]))
+
+
+def test_membership_and_defect_build_no_hankel(monkeypatch):
+    import pufir.hankel as hankel
+
+    def refused(F):
+        raise AssertionError("H_0 was built")
+
+    monkeypatch.setattr(hankel, "hankel_causal", refused)
+    for F in (random_member(4, 2, 5, 2, seed=1),
+              random_member(2, 4, 5, 0, seed=2).shift(-3)):
+        assert is_paraunitary_hankel(F).member
+        assert defect_structure(F).zero_block_ok
+
+
+def test_gram_memory_below_dense_hankel():
+    # at (24,12,96) H_0 is n*24 x n*12 with n = 97; the lag sums need a
+    # few coefficient-sized arrays, the defect one (n*12)^2 Gram plus the
+    # trailing block the eigen-solve reads
+    F = random_member(24, 12, 96, 30, seed=1)
+    ns = F.n * 12
+    tracemalloc.start()
+    try:
+        is_paraunitary_hankel(F)
+        membership = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        defect_structure(F)
+        defect = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert membership < 16 * (F.n * 24) * ns / 10
+    assert defect <= 2.5 * 16 * ns ** 2
 
 
 def test_toeplitz_gram(rng):

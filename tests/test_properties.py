@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from pufir import families, io as pio
 from pufir.blaschke import decode_angles, random_member, random_params, synth
-from pufir.hankel import (hankel_anticausal, hankel_causal, hankel_pair,
-                          is_paraunitary_hankel, mcmillan_degree)
+from pufir.hankel import (defect_structure, hankel_anticausal,
+                          hankel_causal, hankel_pair, is_paraunitary_hankel,
+                          mcmillan_degree)
 from pufir.io import (PIECE_FLOATS, dumps_json, dumps_poly, loads_poly,
                       save_poly)
 from pufir.laurent import LaurentPoly, constant
@@ -16,9 +17,9 @@ from pufir.realization import (Realization, gramians, minimal_realization,
                                naive_realization, transfer)
 
 from conftest import (add_blocks, assert_same_poly, circle_points,
-                      compose_blocks, factor_chain, full_gram_residual,
-                      givens_chain, grouped_blocks, hankel_blocks,
-                      interleave_blocks, json_text, kron_stein,
+                      compose_blocks, dense_defect, factor_chain,
+                      full_gram_residual, givens_chain, grouped_blocks,
+                      hankel_blocks, interleave_blocks, json_text, kron_stein,
                       lag_sum_residual, max_coeff_diff, placed_blocks,
                       random_poly, reblock_blocks, sampled_defect,
                       sphere_point, split_terms)
@@ -64,27 +65,58 @@ def test_decode_matches_givens_chain(p, m, d, seed, data):
         assert np.abs(v - point).max() <= 1e-14
 
 
-@given(products(), st.sampled_from([0.0, 1e-6, 1e-2, 1.0]), seeds,
-       st.data())
+@st.composite
+def edge_products(draw):
+    """BP products at an edge shape, p = 1, m = 1 or d = 0, with gamma in
+    {0, d} and the other sizes as in products()."""
+    edge = draw(st.sampled_from("pmd"))
+    p = 1 if edge == "p" else draw(st.integers(1, 5))
+    m = 1 if edge == "m" else draw(st.integers(1, 5))
+    d = 0 if edge == "d" else draw(st.integers(0, 6))
+    gamma = draw(st.sampled_from([0, d]))
+    return decode_angles(random_params(p, m, d, gamma, draw(seeds)))
+
+
+def shifted(coeffs, data):
+    """The polynomial at a drawn q, from strictly causal through mixed
+    Laurent to strictly anti-causal."""
+    q = data.draw(st.integers(-2, len(coeffs) + 2), label="q")
+    return LaurentPoly(q, coeffs)
+
+
+@given(st.one_of(products(), edge_products()),
+       st.sampled_from([0.0, 1e-6, 1e-2, 1.0]), seeds, st.data())
 def test_membership_residual_matches_oracles(prod, eps, seed, data):
     tol = 1e-9
     F = synth(prod)
-    # q from strictly causal through mixed Laurent to strictly anti-causal
-    q = data.draw(st.integers(-2, F.n + 2), label="q")
     rng = np.random.default_rng(seed)
-    coeffs = [np.array(B) for B in F.coeffs]
+    coeffs = np.array(F.coeffs)
     k = int(rng.integers(F.n))
     i, j = int(rng.integers(F.p)), int(rng.integers(F.m))
-    coeffs[k][i, j] += eps * np.exp(2j * np.pi * rng.random())
-    G = LaurentPoly(q, coeffs)
+    coeffs[k, i, j] += eps * np.exp(2j * np.pi * rng.random())
+    G = shifted(coeffs, data)
     res = is_paraunitary_hankel(G, tol)
     assert res.role == ("isometry" if G.p >= G.m else "co-isometry")
-    assert abs(res.residual - full_gram_residual(G)) <= 10 * tol
-    assert abs(res.residual - lag_sum_residual(G)) <= 10 * tol
+    for oracle in (full_gram_residual(G), lag_sum_residual(G)):
+        assert abs(res.residual - oracle) <= 1e-14
+        assert res.member == (oracle <= tol)
     if eps == 0.0:
         assert res.member
     elif eps >= 1e-2:
         assert not res.member
+
+
+@given(st.one_of(products(), edge_products()), st.data())
+def test_defect_structure_matches_dense_gram(prod, data):
+    tol = 1e-9
+    F = shifted(synth(prod).coeffs, data)
+    rep, oracle = defect_structure(F, tol), dense_defect(F, tol)
+    assert rep.delta_eigenvalues.shape == oracle.delta_eigenvalues.shape
+    assert np.all(np.abs(rep.delta_eigenvalues
+                         - oracle.delta_eigenvalues) <= 1e-13)
+    for field in ("role", "zero_block_ok", "coupling_ok", "delta_psd",
+                  "delta_contraction", "delta_projection"):
+        assert getattr(rep, field) == getattr(oracle, field)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5),
