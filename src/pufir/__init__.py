@@ -2,7 +2,7 @@
 para-unitary FIR systems represented as matrix Laurent polynomials."""
 
 from .laurent import LaurentPoly, constant, delay, zero
-from .hankel import (BlockHankel, DefectReport, HankelPair,
+from .hankel import (BlockHankel, DefectReport, HankelPair, block_hankel,
                      ParaunitaryResult, defect_structure, hankel_anticausal,
                      hankel_causal, hankel_pair, is_paraunitary_hankel,
                      mcmillan_degree, numerical_rank, stack_B)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .laurent import LaurentPoly
-from .hankel import hankel_causal
+from .hankel import BlockHankel, block_hankel
 
 __all__ = [
     "reverse_poly", "reblock", "dilate", "exponent_map",
@@ -43,15 +43,10 @@ def reblock(F, j):
     eta = -F.q
     if not 1 <= j <= 1 + eta:
         raise ValueError(f"j must lie in [1, {1 + eta}]")
-    p, m, n = F.p, F.m, F.n
-    count = -(-(n + eta) // j)     # superblock columns after zero padding
-    # 0-based coefficient sequence: eta zeros, B_1, ..., B_n, zeros
-    seq = np.zeros(((count + 1) * j - 1, p, m), dtype=complex)
-    seq[eta:eta + n] = F.coeffs
-    t, i, l = np.ogrid[:count, :j, :j]
-    blocks = seq[t * j + i + l]                 # block (i, l) of D_t
-    return LaurentPoly(0, blocks.transpose(0, 1, 3, 2, 4)
-                       .reshape(count, j * p, j * m))
+    count = -(-(F.n + eta) // j)   # superblock columns after zero padding
+    row = block_hankel(F.coeffs, eta, j, count * j)     # D_0, D_1, ...
+    return LaurentPoly(0, row.reshape(j * F.p, count, j * F.m)
+                       .transpose(1, 0, 2))
 
 
 def dilate(F, a, gamma):
@@ -224,4 +219,4 @@ def interleave_coeffs(F, a, b, rho):
 
 def hankel_abr(F, a, b, rho):
     """The (a+b+1)n p x (a+b+1)n m interleaved Hankel H(a, b, rho)."""
-    return hankel_causal(LaurentPoly(0, interleave_coeffs(F, a, b, rho)))
+    return BlockHankel(block_hankel(interleave_coeffs(F, a, b, rho), 0))

@@ -1,8 +1,8 @@
 """Block-Hankel matrices of FIR systems.
 
-Builds the Hankel matrices of the strictly causal / strictly anti-causal
-parts of a matrix Laurent polynomial and the McMillan degree from their
-ranks; the para-unitarity test and its defect structure read the Gram of
+`block_hankel` builds every Hankel matrix from a coefficient slice; the
+ranks of the Hankels of the strictly causal / anti-causal parts give the
+McMillan degree.  Membership and the defect structure read the Gram of
 H_0 off the coefficient blocks, as lag sums and block products.
 """
 from __future__ import annotations
@@ -12,12 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .laurent import LaurentPoly
-
 __all__ = [
     "BlockHankel", "HankelPair", "DefectReport", "ParaunitaryResult",
-    "stack_B", "hankel_causal", "hankel_anticausal", "hankel_pair",
-    "numerical_rank", "mcmillan_degree",
+    "block_hankel", "stack_B", "hankel_causal", "hankel_anticausal",
+    "hankel_pair", "numerical_rank", "mcmillan_degree",
     "is_paraunitary_hankel", "defect_structure",
 ]
 
@@ -30,22 +28,10 @@ _ABS_FLOOR = 1e-14
 class BlockHankel:
     """Block matrix constant along block anti-diagonals."""
 
-    p: int
-    m: int
-    block_rows: int
-    block_cols: int
     data: np.ndarray
 
-    def block(self, i, j):
-        return self.data[i * self.p:(i + 1) * self.p,
-                         j * self.m:(j + 1) * self.m]
-
-    @property
-    def is_empty(self):
-        return self.data.size == 0
-
     def singular_values(self):
-        if self.is_empty:
+        if not self.data.size:
             return np.zeros(0)
         return np.linalg.svd(self.data, compute_uv=False)
 
@@ -58,14 +44,26 @@ class HankelPair:
     H_hat: BlockHankel
 
 
-def _empty_hankel(p, m):
-    return BlockHankel(p, m, 0, 0, np.zeros((0, 0), dtype=complex))
+def block_hankel(blocks, pad, rows=None, cols=None):
+    """Dense rows*p x cols*m block Hankel of an (n, p, m) block array.
+
+    Block (i, j) is seq[i + j] of seq = pad zero blocks, then blocks[0],
+    blocks[1], ..., then zeros; square with n + pad block rows by default.
+    """
+    n, p, m = blocks.shape
+    rows = n + pad if rows is None else rows
+    cols = n + pad if cols is None else cols
+    seq = np.zeros((rows + cols - 1, p, m), dtype=complex)
+    tail = seq[pad:]
+    tail[:n] = blocks[:len(tail)]
+    window = sliding_window_view(seq, cols, axis=0)     # [i, :, :, j]
+    data = np.array(window.transpose(0, 1, 3, 2), order="C")
+    return data.reshape(rows * p, cols * m)
 
 
 def stack_B(F):
     """Block column of max(-q, 0) zero blocks over B_1 ... B_n."""
-    zeros = np.zeros((max(-F.q, 0), F.p, F.m), dtype=complex)
-    return np.concatenate((zeros, F.coeffs)).reshape(-1, F.m)
+    return block_hankel(F.coeffs, max(-F.q, 0), cols=1)
 
 
 def hankel_causal(F):
@@ -78,14 +76,7 @@ def hankel_causal(F):
     if F.q > 0:
         raise ValueError("hankel_causal needs a strictly causal polynomial "
                          f"(q <= 0), got q={F.q}")
-    p, m, n, eta = F.p, F.m, F.n, -F.q
-    size = n + eta
-    # block (i, j) is seq[i + j]: eta zero blocks, B_1 ... B_n, zeros
-    seq = np.zeros((2 * size - 1, p, m), dtype=complex)
-    seq[eta:eta + n] = F.coeffs
-    rows = sliding_window_view(seq, size, axis=0)      # [i, :, :, j]
-    data = np.array(rows.transpose(0, 1, 3, 2), order="C")
-    return BlockHankel(p, m, size, size, data.reshape(size * p, size * m))
+    return BlockHankel(block_hankel(F.coeffs, -F.q))
 
 
 def hankel_anticausal(F):
@@ -97,19 +88,23 @@ def hankel_anticausal(F):
     if F.q < F.n + 1:
         raise ValueError("hankel_anticausal needs a strictly anti-causal "
                          f"polynomial (q >= n+1), got q={F.q}, n={F.n}")
-    return hankel_causal(LaurentPoly(F.n + 1 - F.q, F.coeffs[::-1]))
+    return BlockHankel(block_hankel(F.coeffs[::-1], F.q - F.n - 1))
 
 
 def hankel_pair(F):
     """Hankel matrices of F_r and F_l of F = F_l + D + F_r.
 
-    F_r exists iff q < n and F_l iff q >= 2; an absent part gives an
-    empty 0x0 member.
+    F_r = B_k, k > q, behind max(-q, 0) zero blocks, exists iff q < n;
+    F_l = B_k, k < q, reversed behind max(q - 1 - n, 0) zero blocks,
+    exists iff q >= 2.  An absent part gives an empty 0x0 member.
     """
-    left, _, right = F.split()
-    empty = _empty_hankel(F.p, F.m)
-    return HankelPair(hankel_causal(right) if F.q < F.n else empty,
-                      hankel_anticausal(left) if F.q >= 2 else empty)
+    C, q, n = F.coeffs, F.q, F.n
+    H = H_hat = BlockHankel(np.zeros((0, 0), dtype=complex))
+    if q < n:
+        H = BlockHankel(block_hankel(C[max(q, 0):], max(-q, 0)))
+    if q >= 2:
+        H_hat = BlockHankel(block_hankel(C[:q - 1][::-1], max(q - 1 - n, 0)))
+    return HankelPair(H, H_hat)
 
 
 def numerical_rank(sigma):

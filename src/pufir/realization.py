@@ -1,8 +1,8 @@
 """State-space realizations of causal FIR polynomials.
 
 Naive shift realizations, minimal realizations by balanced square-root
-Hankel factorization, Stein-equation Gramians and Gramian-based
-normalization of the realization matrix.
+factorization of the strictly causal blocks' `block_hankel`, Stein-equation
+Gramians and Gramian-based normalization of the realization matrix.
 """
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hankel import (DEFAULT_TOL, RANK_TOL, hankel_causal, numerical_rank,
-                     stack_B)
+from .hankel import DEFAULT_TOL, RANK_TOL, block_hankel, numerical_rank
 
 STEIN_TOL = 1e-9        # residual bound of a Stein solve, relative to RHS
 
@@ -51,11 +50,10 @@ class Realization:
 
 
 def _split_causal(F):
-    """(D, F_r) of a causal polynomial; F_r is None when F is constant."""
+    """(D, B_k for k > q, their delay max(-q, 0)) of a causal polynomial."""
     if F.q > 1:
         raise ValueError(f"polynomial is not causal (q={F.q} > 1)")
-    _, D, right = F.split()
-    return D, (right if F.q < F.n else None)
+    return F.coefficient(0).copy(), F.coeffs[max(F.q, 0):], max(-F.q, 0)
 
 
 def _static(D):
@@ -72,10 +70,10 @@ def naive_realization(F):
     Accepts any causal polynomial; a z^0 coefficient (q=1) goes into D and
     the strictly causal tail is realized with the block shift.
     """
-    D, tail = _split_causal(F)
-    if tail is None:
+    D, tail, eta = _split_causal(F)
+    if not len(tail):
         return _static(D)
-    B = stack_B(tail)
+    B = block_hankel(tail, eta, cols=1)
     A = np.eye(len(B), k=F.p, dtype=complex)
     C = np.eye(F.p, len(B), dtype=complex)
     return Realization(A, B, C, D)
@@ -90,11 +88,11 @@ def minimal_realization(F):
     (equal diagonal Gramians).  A rank decision within a factor 10 of the
     threshold sets `rank_ambiguous` on the result.
     """
-    D, tail = _split_causal(F)
-    if tail is None or not tail.coeffs.any():
+    D, tail, eta = _split_causal(F)
+    if not tail.any():
         return _static(D)
     p, m = F.p, F.m
-    H = hankel_causal(tail).data
+    H = block_hankel(tail, eta)
     U, sigma, Vh = np.linalg.svd(H)
     r = numerical_rank(sigma)
     ambiguous = bool(any(

@@ -250,23 +250,28 @@ def test_load_poly_bit_exact():
 
 
 def test_memory_error_exit(tmp_path, monkeypatch, capsys):
-    # a huge delay asks for a Hankel matrix of 10^6 x 10^6 blocks; the
-    # build is replaced by one that fails, so nothing is allocated
+    # a huge delay (q < 0) or anti-causal gap (q > 0) asks for a Hankel
+    # matrix of about 10^6 x 10^6 blocks; the build is replaced by one
+    # that fails, so nothing is allocated
     import pufir.hankel as hankel
     import pufir.realization as realization
 
-    def no_memory(F):
-        raise MemoryError(f"no memory for a Hankel of {F.n - F.q} blocks")
+    def no_memory(blocks, pad, rows=None, cols=None):
+        raise MemoryError("no memory for a Hankel of "
+                          f"{len(blocks) + pad} blocks")
 
     for module in (hankel, realization):
-        monkeypatch.setattr(module, "hankel_causal", no_memory)
+        monkeypatch.setattr(module, "block_hankel", no_memory)
     path = tmp_path / "deep.json"
-    save_poly(LaurentPoly(-1000000, [np.eye(1)]), path)
-    for command in ("check", "degree", "realize"):
-        assert main([command, str(path)]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (
-            "", "error: no memory for a Hankel of 1000001 blocks\n")
+    for q, commands, size in ((-1000000, ("check", "degree", "realize"),
+                               1000001),
+                              (1000000, ("check", "degree"), 999999)):
+        save_poly(LaurentPoly(q, [np.eye(1)]), path)
+        for command in commands:
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: no memory for a Hankel of {size} blocks\n")
 
 
 @pytest.mark.parametrize("command", ["synth", "degree"])
@@ -296,8 +301,8 @@ def test_check_member_runs_membership_once(tmp_path, monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(hankel, "hankel_causal",
-                        counted("hankel_causal", hankel.hankel_causal))
+    monkeypatch.setattr(hankel, "block_hankel",
+                        counted("block_hankel", hankel.block_hankel))
     member = counted("is_paraunitary_hankel", hankel.is_paraunitary_hankel)
     monkeypatch.setattr(hankel, "is_paraunitary_hankel", member)
     monkeypatch.setattr(cli, "is_paraunitary_hankel", member)
@@ -307,7 +312,7 @@ def test_check_member_runs_membership_once(tmp_path, monkeypatch, capsys):
     # one build each for the degree and the singular values; membership
     # and the defect Gram read the coefficients, and defect_structure runs
     # no second membership test
-    assert calls == {"hankel_causal": 2, "is_paraunitary_hankel": 1}
+    assert calls == {"block_hankel": 2, "is_paraunitary_hankel": 1}
     assert "defect structure" in capsys.readouterr().out
 
 

@@ -250,11 +250,12 @@ def test_hankel_abr_index_oracle(rng):
     seq = interleave_coeffs(F, a, b, rho)
     N = len(seq)
     assert H.data.shape == (N * 2, N * 2)
+    blocks = H.data.reshape(N, 2, N, 2)                  # [i, :, j, :]
     for i in range(N):
         for j in range(N):
             k = i + j
             expect = seq[k] if k < N else np.zeros((2, 2))
-            assert np.allclose(H.block(i, j), expect)
+            assert np.allclose(blocks[i, :, j], expect)
 
 
 def test_membership_preservation_suite():

@@ -27,7 +27,7 @@ def test_hankel_identity_block():
 def test_hankel_square_example_q1():
     F = square_example(1)
     pair = hankel_pair(F)
-    assert pair.H_hat.is_empty
+    assert pair.H_hat.data.shape == (0, 0)
     B2, B3 = F.coeffs[1], F.coeffs[2]
     expected = np.block([[B2, B3], [B3, np.zeros((2, 2))]])
     assert np.allclose(pair.H.data, expected)
@@ -35,11 +35,10 @@ def test_hankel_square_example_q1():
 
 def test_hankel_property_blockwise(rng):
     F = random_poly(rng, 2, 3, 4, q=-1)
-    H = hankel_causal(F)
-    for i in range(H.block_rows):
-        for j in range(H.block_cols):
-            if i + 1 < H.block_rows and j >= 1:
-                assert np.allclose(H.block(i, j), H.block(i + 1, j - 1))
+    blocks = hankel_causal(F).data.reshape(5, 2, 5, 3)     # [i, :, j, :]
+    for i in range(4):
+        for j in range(1, 5):
+            assert np.allclose(blocks[i, :, j], blocks[i + 1, :, j - 1])
 
 
 def test_hankel_anticausal_reverse_property(rng):
@@ -71,8 +70,8 @@ def test_hankel_pair_square_example():
 
 
 def test_hankel_pair_degenerate():
-    assert hankel_pair(square_example(0)).H_hat.is_empty
-    assert hankel_pair(square_example(4)).H.is_empty
+    assert hankel_pair(square_example(0)).H_hat.data.shape == (0, 0)
+    assert hankel_pair(square_example(4)).H.data.shape == (0, 0)
 
 
 def test_mcmillan_degree_examples():
@@ -83,11 +82,12 @@ def test_mcmillan_degree_examples():
 
 
 def test_mcmillan_degree_regime_table():
-    # shift within a fixed regime leaves the degree alone
-    F = wide_example(0)
-    assert mcmillan_degree(F) == mcmillan_degree(F)
-    d_strict = mcmillan_degree(square_example(0))
-    assert mcmillan_degree(square_example(-0)) == d_strict
+    # a single coefficient M at z^(q-1) puts M on the block anti-diagonal
+    # of a |q - 1| block Hankel: the causal one padded by -q for q <= 0,
+    # the anti-causal one padded by q - 2 for q >= 2
+    M = np.outer([1.0, 2.0], [1.0, -1.0, 3.0])
+    degrees = [mcmillan_degree(LaurentPoly(q, [M])) for q in range(-3, 6)]
+    assert degrees == [4, 3, 2, 1, 0, 1, 2, 3, 4]
 
 
 def test_rank_padding_invariance(rng):
@@ -189,10 +189,10 @@ def test_defect_structure_requires_member():
 def test_membership_and_defect_build_no_hankel(monkeypatch):
     import pufir.hankel as hankel
 
-    def refused(F):
+    def refused(*args, **kwargs):
         raise AssertionError("H_0 was built")
 
-    monkeypatch.setattr(hankel, "hankel_causal", refused)
+    monkeypatch.setattr(hankel, "block_hankel", refused)
     for F in (random_member(4, 2, 5, 2, seed=1),
               random_member(2, 4, 5, 0, seed=2).shift(-3)):
         assert is_paraunitary_hankel(F).member
@@ -233,7 +233,7 @@ def test_hankel_shift_factorization():
     for eta in (0, 1):
         F_sh = F.shift(-eta)
         H = hankel_causal(F_sh)
-        size = H.block_rows
+        size = F.n + eta
         J = np.eye(size * F.p, k=F.p)
         col = stack_B(F_sh)
         for j in range(size):
