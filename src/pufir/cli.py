@@ -57,16 +57,17 @@ def cmd_check(args):
     degree = mcmillan_degree(F)
     result = is_paraunitary_hankel(F, tol)
     sampled = F.unitary_defect()
+    sigma = hankel_pair(F).H.singular_values()
     report = {
         "p": F.p, "m": F.m, "q": F.q, "n": F.n,
         "causality": label, "causality_flags": sorted(flags),
         "mcmillan_degree": degree,
         "member": result.member, "role": result.role,
         "residual": result.residual, "sampled_defect": sampled,
-        "hankel_singular_values": hankel_pair(F).H.singular_values(),
+        "hankel_singular_values": sigma,
     }
     if result.member:
-        d = defect_structure(F, tol)
+        d = defect_structure(F, tol, sigma)
         report["defect"] = {
             "zero_block_ok": d.zero_block_ok,
             "coupling_ok": d.coupling_ok,

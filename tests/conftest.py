@@ -353,6 +353,17 @@ def assert_same_poly(F, G):
     assert np.array_equal(F.coeffs, G.coeffs)
 
 
+def assert_same_defect(rep, oracle, atol):
+    """Equal role and flags; Delta eigenvalues within atol, entry for
+    entry."""
+    assert rep.delta_eigenvalues.shape == oracle.delta_eigenvalues.shape
+    assert np.all(np.abs(rep.delta_eigenvalues
+                         - oracle.delta_eigenvalues) <= atol)
+    for field in ("role", "zero_block_ok", "coupling_ok", "delta_psd",
+                  "delta_contraction", "delta_projection"):
+        assert getattr(rep, field) == getattr(oracle, field)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -316,6 +316,29 @@ def test_check_member_runs_membership_once(tmp_path, monkeypatch, capsys):
     assert "defect structure" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("q, eigvalsh_calls", [(1, 0), (0, 1), (2, 1)])
+def test_check_eigvalsh_only_off_q1(q, eigvalsh_calls, tmp_path,
+                                    monkeypatch, capsys):
+    # a q = 1 member's Delta spectrum is 1 - sigma^2 of the Hankel sigma
+    # check already reports; q = 0 and a mixed member keep eigvalsh
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    path = tmp_path / "wide.json"
+    save_poly(random_member(2, 4, 5, 0, seed=4).shift(q - 1), path)
+    outputs = []
+    for _ in range(2):
+        assert main(["check", str(path), "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(calls) == 2 * eigvalsh_calls
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["q"] == q
+
+
 def test_repeated_main_gives_same_bytes(wide_file, capsys):
     # the parser is built once per process; a usage error in between
     # leaves the next call's output unchanged

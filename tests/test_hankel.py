@@ -5,12 +5,13 @@ import pytest
 
 from pufir.blaschke import random_member
 from pufir.examples import square_example, wide_example
-from pufir.hankel import (defect_structure, hankel_anticausal,
+from pufir.hankel import (DEFAULT_TOL, defect_structure, hankel_anticausal,
                           hankel_causal, hankel_pair, is_paraunitary_hankel,
                           mcmillan_degree, numerical_rank, stack_B)
 from pufir.laurent import LaurentPoly
 
-from conftest import random_poly, toeplitz_gram_equiv
+from conftest import (assert_same_defect, dense_defect, random_poly,
+                      toeplitz_gram_equiv)
 
 
 def test_hankel_wide_example():
@@ -118,6 +119,29 @@ def test_singular_values_trivial():
     assert np.allclose(Z.singular_values(), 0.0)
 
 
+def test_singular_values_on_the_tall_side(monkeypatch):
+    # wide, tall, square and 0x0: sigma is that of data, and LAPACK only
+    # ever receives rows >= cols
+    pairs = [hankel_pair(random_member(p, m, 4, 0, seed=7))
+             for p, m in ((2, 4), (4, 2), (3, 3))]
+    hankels = [pair.H for pair in pairs] + [pairs[0].H_hat]
+    assert [H.data.shape for H in hankels] == [(8, 16), (16, 8), (12, 12),
+                                               (0, 0)]
+    expected = [np.linalg.svd(H.data, compute_uv=False) for H in hankels]
+    svd, shapes = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for H, sv in zip(hankels, expected):
+        got = H.singular_values()
+        assert got.shape == sv.shape
+        assert np.all(np.abs(got - sv) <= 1e-14)
+    assert shapes == [(16, 8), (16, 8), (12, 12)]
+
+
 def test_membership_examples():
     assert is_paraunitary_hankel(wide_example(0)).member
     for q in (0, 1, 2, 3):
@@ -179,6 +203,24 @@ def test_defect_structure_empty_delta():
     U = np.fft.fft(np.eye(2)) / np.sqrt(2)
     rep = defect_structure(LaurentPoly(0, [U]))
     assert rep.delta_eigenvalues.shape == (0,)
+
+
+@pytest.mark.parametrize("p, m, d", [(1, 3, 4), (3, 1, 4), (3, 2, 0),
+                                     (3, 3, 5), (2, 4, 5), (4, 2, 5)])
+def test_q1_defect_spectrum_from_sigma(p, m, d, monkeypatch):
+    # p = 1, m = 1, d = 0 (empty Delta), square, wide and tall members at
+    # q = 1: Delta = I - H*H, so sort(1 - sigma^2) with no eigvalsh
+    F = random_member(p, m, d, 0, seed=11)
+    assert F.q == 1
+    sigma = hankel_pair(F).H.singular_values()
+    oracle = dense_defect(F, DEFAULT_TOL)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    assert_same_defect(defect_structure(F, DEFAULT_TOL, sigma), oracle,
+                       1e-14)
 
 
 def test_defect_structure_requires_member():

@@ -16,13 +16,14 @@ from pufir.laurent import LaurentPoly, constant
 from pufir.realization import (Realization, gramians, minimal_realization,
                                naive_realization, transfer)
 
-from conftest import (add_blocks, assert_same_poly, circle_points,
-                      compose_blocks, dense_defect, factor_chain,
-                      full_gram_residual, givens_chain, grouped_blocks,
-                      hankel_blocks, interleave_blocks, json_text, kron_stein,
-                      lag_sum_residual, max_coeff_diff, placed_blocks,
-                      random_poly, reblock_blocks, sampled_defect,
-                      sphere_point, split_terms)
+from conftest import (add_blocks, assert_same_defect, assert_same_poly,
+                      circle_points, compose_blocks, dense_defect,
+                      factor_chain, full_gram_residual, givens_chain,
+                      grouped_blocks, hankel_blocks, interleave_blocks,
+                      json_text, kron_stein, lag_sum_residual,
+                      max_coeff_diff, placed_blocks, random_poly,
+                      reblock_blocks, sampled_defect, sphere_point,
+                      split_terms)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -110,13 +111,17 @@ def test_membership_residual_matches_oracles(prod, eps, seed, data):
 def test_defect_structure_matches_dense_gram(prod, data):
     tol = 1e-9
     F = shifted(synth(prod).coeffs, data)
-    rep, oracle = defect_structure(F, tol), dense_defect(F, tol)
-    assert rep.delta_eigenvalues.shape == oracle.delta_eigenvalues.shape
-    assert np.all(np.abs(rep.delta_eigenvalues
-                         - oracle.delta_eigenvalues) <= 1e-13)
-    for field in ("role", "zero_block_ok", "coupling_ok", "delta_psd",
-                  "delta_contraction", "delta_projection"):
-        assert getattr(rep, field) == getattr(oracle, field)
+    assert_same_defect(defect_structure(F, tol), dense_defect(F, tol), 1e-13)
+
+
+@given(st.one_of(products(), edge_products()))
+def test_q1_defect_spectrum_from_sigma_matches_dense_gram(prod):
+    # at q = 1, Delta = I - H*H (I - HH*) exactly: 1 - sigma^2 of H
+    tol = 1e-9
+    F = LaurentPoly(1, synth(prod).coeffs)
+    sigma = hankel_pair(F).H.singular_values()
+    assert_same_defect(defect_structure(F, tol, sigma), dense_defect(F, tol),
+                       1e-14)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5),
