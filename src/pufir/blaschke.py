@@ -46,24 +46,26 @@ class BPProduct:
 
     def __post_init__(self):
         U = _frozen(self.U, complex)
-        vs = tuple(_frozen(v, complex).reshape(-1) for v in self.vs)
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "vs", vs)
         if U.ndim != 2:
             raise ValueError(f"U must be a matrix, got shape {U.shape}")
-        k = _chart_k(*U.shape, len(vs))
-        if any(v.size != k for v in vs):
-            raise ValueError(f"factor vectors must live in C^{k}")
+        d = len(self.vs)
+        k = _chart_k(*U.shape, d)
+        try:        # one read-only (d, k) copy; ragged vectors do not stack
+            V = np.array(self.vs, dtype=complex).reshape(d, k)
+        except ValueError:
+            raise ValueError(f"factor vectors must live in C^{k}") from None
+        V.setflags(write=False)
+        object.__setattr__(self, "vs", tuple(V))
         if not np.isfinite(U).all():
             raise ValueError("U must be finite (no NaN or Inf)")
         gram = U.conj().T @ U if U.shape[0] >= U.shape[1] else U @ U.conj().T
         if not np.abs(gram - np.eye(len(gram))).max() <= _UNIT_TOL:
             raise ValueError("U fails the (co)isometry invariant")
-        # vdot is no ufunc: a NaN or Inf entry gives a non-finite norm and
-        # no floating-point warning
-        if not all(abs(np.vdot(v, v) - 1.0) <= _UNIT_TOL for v in vs):
+        norm2 = np.einsum("ij,ij->i", V.conj(), V)   # no ufunc: no warning
+        if not (np.isfinite(V).all() and (abs(norm2 - 1) <= _UNIT_TOL).all()):
             raise ValueError("factor vectors must be unit vectors")
-        if not 0 <= self.gamma <= len(vs):
+        if not 0 <= self.gamma <= d:
             raise ValueError("gamma must lie in [0, d]")
 
     @property

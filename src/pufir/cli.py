@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: check, degree, synth, sample, family, realize, optimize,
-verify-examples.  Exit codes: 0 success, 1 negative verification,
-2 usage or input error.  The PUFIR_TOL environment variable overrides
-the default tolerance.
+verify-examples.  `family CONSTRUCTION FILE` takes, after the
+construction name, only the options its FAMILY entry lists, and -o.
+Exit codes: 0 success, 1 negative verification, 2 usage or input error,
+an option the construction does not read included.  The PUFIR_TOL
+environment variable overrides the default tolerance.
 """
 from __future__ import annotations
 
@@ -116,32 +118,33 @@ def cmd_sample(args):
     return 0
 
 
+# construction -> (pufir.families function, the options it reads as
+# (name, type, default)); --second, when read, is its second input
+_SECOND = ("second", str, None)
+FAMILY = {
+    "reverse": ("reverse_poly", ()),
+    "reblock": ("reblock", (("j", int, 1),)),
+    "dilate": ("dilate", (("a", int, 0), ("gamma", int, 1))),
+    "stack": ("rect_stack", (("rho", int, 1),)),
+    "widen": ("rect_widen", (("rho", int, 1),)),
+    "compose": ("compose_diag", (_SECOND, ("variant", str, "diag"))),
+    "mix-rows": ("compose_mix_rows", (_SECOND, ("alpha", float, 0.5))),
+    "mix-cols": ("compose_mix_cols", (_SECOND, ("alpha", float, 0.5))),
+    "product": ("product_via_hankel", (_SECOND,)),
+}
+
+
 def cmd_family(args):
+    name, options = FAMILY[args.construction]
     F = load_poly(args.file)
-    sub = args.construction
-    if sub == "reverse":
-        out = families.reverse_poly(F)
-    elif sub == "reblock":
-        out = families.reblock(F, args.j)
-    elif sub == "dilate":
-        out = families.dilate(F, args.a, args.gamma)
-    elif sub == "stack":
-        out = families.rect_stack(F, args.rho)
-    elif sub == "widen":
-        out = families.rect_widen(F, args.rho)
-    else:
+    values = [getattr(args, option) for option, _, _ in options]
+    if "second" in vars(args):
         if not args.second:
-            raise ValueError(f"construction {sub!r} needs --second FILE")
-        G = load_poly(args.second)
-        if sub == "compose":
-            out = families.compose_diag(F, G, args.variant)
-        elif sub == "mix-rows":
-            out = families.compose_mix_rows(F, G, args.alpha)
-        elif sub == "mix-cols":
-            out = families.compose_mix_cols(F, G, args.alpha)
-        else:  # product
-            out = families.product_via_hankel(F, G)
-    _emit_poly(out, args.output)
+            raise ValueError(f"construction {args.construction!r} "
+                             "needs --second FILE")
+        values[0] = load_poly(args.second)
+    # looked up when called, so a rebound pufir.families function is run
+    _emit_poly(getattr(families, name)(F, *values), args.output)
     return 0
 
 
@@ -226,20 +229,14 @@ def build_parser():
     sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("family", help="apply a family construction")
-    sp.add_argument("construction",
-                    choices=["reverse", "reblock", "dilate", "stack",
-                             "widen", "compose", "mix-rows", "mix-cols",
-                             "product"])
-    sp.add_argument("file")
-    sp.add_argument("--second", default=None, help="second polynomial file")
-    sp.add_argument("--j", type=int, default=1)
-    sp.add_argument("--a", type=int, default=0)
-    sp.add_argument("--gamma", type=int, default=1)
-    sp.add_argument("--rho", type=int, default=1)
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--variant", choices=["diag", "antidiag"],
-                    default="diag")
-    sp.add_argument("-o", "--output", default=None)
+    constructions = sp.add_subparsers(dest="construction", required=True)
+    for construction, (_, options) in FAMILY.items():
+        # no abbreviations: --a would otherwise be read as --alpha
+        cp = constructions.add_parser(construction, allow_abbrev=False)
+        cp.add_argument("file")
+        for option, kind, default in options:
+            cp.add_argument("--" + option, type=kind, default=default)
+        cp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("realize", help="minimal normalized realization")
     sp.add_argument("file")

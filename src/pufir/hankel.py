@@ -82,7 +82,7 @@ def hankel_causal(F):
     if F.q > 0:
         raise ValueError("hankel_causal needs a strictly causal polynomial "
                          f"(q <= 0), got q={F.q}")
-    return BlockHankel(block_hankel(F.coeffs, -F.q))
+    return hankel_pair(F).H
 
 
 def hankel_anticausal(F):
@@ -94,7 +94,7 @@ def hankel_anticausal(F):
     if F.q < F.n + 1:
         raise ValueError("hankel_anticausal needs a strictly anti-causal "
                          f"polynomial (q >= n+1), got q={F.q}, n={F.n}")
-    return BlockHankel(block_hankel(F.coeffs[::-1], F.q - F.n - 1))
+    return hankel_pair(F).H_hat
 
 
 def hankel_pair(F):

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pufir import families
 from pufir.blaschke import random_member, random_params
-from pufir.cli import main
+from pufir.cli import FAMILY, main
 from pufir.examples import square_example, wide_example
 from pufir.hankel import DEFAULT_TOL
 from pufir.io import (dumps_poly, load_poly, loads_poly, poly_to_dict,
@@ -396,8 +397,124 @@ def test_family_reverse_roundtrip(tmp_path, wide_file):
     assert Path(wide_file).read_bytes() == twice.read_bytes()
 
 
+# construction -> (its options on the command line, the families call
+# they mean); "G" stands for the --second file
+FAMILY_CASES = {
+    "reverse": ((), lambda F, G: families.reverse_poly(F)),
+    "reblock": (("--j", "2"), lambda F, G: families.reblock(F, 2)),
+    "dilate": (("--a", "3", "--gamma", "2"),
+               lambda F, G: families.dilate(F, 3, 2)),
+    "stack": (("--rho", "2"), lambda F, G: families.rect_stack(F, 2)),
+    "widen": (("--rho", "2"), lambda F, G: families.rect_widen(F, 2)),
+    "compose": (("--second", "G", "--variant", "antidiag"),
+                lambda F, G: families.compose_diag(F, G, "antidiag")),
+    "mix-rows": (("--second", "G", "--alpha", "0.3"),
+                 lambda F, G: families.compose_mix_rows(F, G, 0.3)),
+    "mix-cols": (("--second", "G", "--alpha", "0.3"),
+                 lambda F, G: families.compose_mix_cols(F, G, 0.3)),
+    "product": (("--second", "G"),
+                lambda F, G: families.product_via_hankel(F, G)),
+}
+FAMILY_OPTIONS = ("--second", "--j", "--a", "--gamma", "--rho", "--alpha",
+                  "--variant")
+
+
+@pytest.fixture
+def family_files(tmp_path):
+    # 2 x 2 members, the first with q = -1: every construction accepts them
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_poly(random_member(2, 2, 3, 0, 1).shift(-2), first)
+    save_poly(random_member(2, 2, 2, 1, 2), second)
+    return str(first), str(second)
+
+
+def family_argv(construction, options, files):
+    first, second = files
+    return ["family", construction, first,
+            *(second if value == "G" else value for value in options)]
+
+
+# each construction with no option but --second: the defaults
+FAMILY_DEFAULTS = [
+    ("reblock", (), lambda F, G: families.reblock(F, 1)),
+    ("dilate", (), lambda F, G: families.dilate(F, 0, 1)),
+    ("stack", (), lambda F, G: families.rect_stack(F, 1)),
+    ("widen", (), lambda F, G: families.rect_widen(F, 1)),
+    ("compose", ("--second", "G"),
+     lambda F, G: families.compose_diag(F, G, "diag")),
+    ("mix-rows", ("--second", "G"),
+     lambda F, G: families.compose_mix_rows(F, G, 0.5)),
+    ("mix-cols", ("--second", "G"),
+     lambda F, G: families.compose_mix_cols(F, G, 0.5)),
+]
+
+
+@pytest.mark.parametrize("construction, options, call", [
+    *(pytest.param(c, *FAMILY_CASES[c], id=c) for c in FAMILY),
+    *(pytest.param(*case, id=case[0] + "-defaults")
+      for case in FAMILY_DEFAULTS)])
+def test_family_writes_its_construction(tmp_path, family_files,
+                                        construction, options, call):
+    out = tmp_path / "out.json"
+    argv = family_argv(construction, options, family_files)
+    assert main(argv + ["-o", str(out)]) == 0
+    expected = call(*map(load_poly, family_files))
+    assert out.read_bytes() == dumps_poly(expected).encode()
+
+
+@pytest.mark.parametrize("construction", FAMILY)
+def test_family_refuses_options_it_does_not_read(family_files, capsys,
+                                                 construction):
+    options = FAMILY_CASES[construction][0]
+    argv = family_argv(construction, options, family_files)
+    for option in set(FAMILY_OPTIONS) - set(options):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["family"],
+                                  *(["family", c] for c in FAMILY)])
+def test_family_help(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+
+
+def test_family_options_go_after_the_construction(family_files):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--j", "2", "reblock", family_files[0]])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("construction", FAMILY)
+def test_family_function_looked_up_when_called(tmp_path, family_files,
+                                               monkeypatch, construction):
+    calls = []
+
+    def fake(F, *values):
+        calls.append(values)
+        return F
+
+    monkeypatch.setattr(families, FAMILY[construction][0], fake)
+    options = FAMILY_CASES[construction][0]
+    argv = family_argv(construction, options, family_files)
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_family_needs_second_file(wide_file, capsys):
-    assert main(["family", "product", wide_file]) == 2
+    for construction in ("compose", "mix-rows", "mix-cols", "product"):
+        assert main(["family", construction, wide_file]) == 2
+        assert (f"construction {construction!r} needs --second FILE"
+                in capsys.readouterr().err)
+
+
+def test_family_bad_variant_exit(wide_file, capsys):
+    argv = ["family", "compose", wide_file, "--second", wide_file]
+    assert main(argv + ["--variant", "sideways"]) == 2
+    assert "'sideways'" in capsys.readouterr().err
 
 
 def test_family_reblock(tmp_path):

@@ -155,6 +155,17 @@ def test_degree_law(prod):
                                   else prod.d)
 
 
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4),
+       st.booleans(), st.integers(0, 3), seeds)
+def test_degree_shift_law(p, m, d, anticausal, j, seed):
+    # gamma = 0 gives q = 1, where each further delay adds min(p, m) to the
+    # degree; gamma = d gives q = n, where each further advance does.  The
+    # mixed regime 2 <= q <= n - 1 follows no such law and is not pinned.
+    F = random_member(p, m, d, d if anticausal else 0, seed)
+    shifted = F.shift(j if anticausal else -j)
+    assert mcmillan_degree(shifted) == mcmillan_degree(F) + j * min(p, m)
+
+
 @given(st.integers(1, 4), st.integers(0, 6), st.booleans(), seeds)
 def test_square_degree_is_weighted_coefficient_energy(p, d, anticausal, seed):
     # a square member with gamma in {0, d} has Hankel singular values 0 or
